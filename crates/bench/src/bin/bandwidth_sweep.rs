@@ -6,15 +6,14 @@
 //! Usage: `cargo run -p bench --bin bandwidth_sweep --release [-- --json]`
 
 use epiphany::EpiphanyParams;
-use sar_epiphany::autofocus_mpmd::{self, Placement};
-use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
+use sar_epiphany::harness_impls::{AutofocusMpmdMapping, FfbpSpmdMapping};
 use sar_epiphany::workloads::AutofocusWorkload;
-use sim_harness::BenchHarness;
+use sim_harness::{run, BenchHarness, EpiphanyPlatform, Workload};
 
 fn main() {
     let mut h = BenchHarness::new("bandwidth_sweep");
-    let fw = bench::reduced_ffbp(256, 1001);
-    let aw = AutofocusWorkload::paper();
+    let fw = Workload::Ffbp(bench::reduced_ffbp(256, 1001));
+    let aw = Workload::Autofocus(AutofocusWorkload::paper());
     h.say("Off-chip bandwidth sweep (eLink bytes/cycle; datasheet = 8)");
     h.say(format_args!(
         "{:>10} {:>16} {:>18} {:>12}",
@@ -23,10 +22,9 @@ fn main() {
     for bpc in [1u64, 2, 4, 8, 16, 32] {
         let mut p = EpiphanyParams::default();
         p.emesh.elink_bytes_per_cycle = bpc;
-        let mut f = ffbp_spmd::run(&fw, p, SpmdOptions::default());
-        let mut ap = autofocus_mpmd::params();
-        ap.emesh.elink_bytes_per_cycle = bpc;
-        let mut a = autofocus_mpmd::run(&aw, ap, Placement::neighbor());
+        let platform = EpiphanyPlatform::with_params(p);
+        let mut f = run(&FfbpSpmdMapping::default(), &fw, &platform).expect("supported pair");
+        let mut a = run(&AutofocusMpmdMapping::default(), &aw, &platform).expect("supported pair");
         h.say(format_args!(
             "{:>10} {:>16.2} {:>18.0} {:>11.1}%",
             bpc,

@@ -8,31 +8,26 @@
 
 use desim::Frequency;
 use epiphany::EpiphanyParams;
-use sar_epiphany::autofocus_seq;
-use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
+use sar_epiphany::harness_impls::{AutofocusSeqMapping, FfbpSpmdMapping};
 use sar_epiphany::workloads::AutofocusWorkload;
-use sim_harness::BenchHarness;
+use sim_harness::{run, BenchHarness, EpiphanyPlatform, Workload};
 
 fn main() {
     let mut h = BenchHarness::new("clock_sweep");
-    let fw = bench::reduced_ffbp(256, 1001);
-    let aw = AutofocusWorkload::paper();
+    let fw = Workload::Ffbp(bench::reduced_ffbp(256, 1001));
+    let aw = Workload::Autofocus(AutofocusWorkload::paper());
     h.say("Epiphany clock sweep");
     h.say(format_args!(
         "{:>10} {:>16} {:>20} {:>14}",
         "clock", "FFBP-16 (ms)", "autofocus (px/s)", "AF energy (J)"
     ));
     for mhz in [400.0f64, 600.0, 800.0, 1000.0] {
-        let p = EpiphanyParams {
+        let platform = EpiphanyPlatform::with_params(EpiphanyParams {
             clock: Frequency::mhz(mhz),
             ..EpiphanyParams::default()
-        };
-        let mut f = ffbp_spmd::run(&fw, p, SpmdOptions::default());
-        let ap = EpiphanyParams {
-            clock: Frequency::mhz(mhz),
-            ..autofocus_seq::params()
-        };
-        let mut a = autofocus_seq::run(&aw, ap);
+        });
+        let mut f = run(&FfbpSpmdMapping::default(), &fw, &platform).expect("supported pair");
+        let mut a = run(&AutofocusSeqMapping, &aw, &platform).expect("supported pair");
         h.say(format_args!(
             "{:>7} MHz {:>16.2} {:>20.0} {:>14.6}",
             mhz,

@@ -8,10 +8,11 @@
 //!
 //! Usage: `cargo run -p bench --bin fault_sweep --release [-- --json --seed N]`
 
-use sar_epiphany::autofocus_mpmd::{self, Placement};
-use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sar_epiphany::workloads::{AutofocusWorkload, FfbpWorkload};
-use sim_harness::{BenchHarness, FaultPlan, FaultState};
+use sar_epiphany::harness_impls::{AutofocusMpmdMapping, FfbpSpmdMapping};
+use sim_harness::{
+    run_ctx, BenchHarness, EpiphanyPlatform, FaultPlan, FaultState, Mapping, RunContext, RunRecord,
+    Workload,
+};
 
 /// A mixed-kind random fault group spec: `n` of each perturbation kind
 /// drawn from the first `window` cycles of the run.
@@ -42,8 +43,17 @@ fn main() {
                 std::process::exit(2);
             })
         });
-    let fw = FfbpWorkload::small();
-    let aw = AutofocusWorkload::small();
+    let fw = Workload::named("ffbp", true).expect("registered");
+    let aw = Workload::named("autofocus", true).expect("registered");
+    let platform = EpiphanyPlatform::default();
+    // One fault level of one recovered pair, through the harness.
+    let faulted = |mapping: &dyn Mapping, w: &Workload, window: u64, n: u64| -> RunRecord {
+        let plan = FaultPlan::parse(&spec(n, window), seed).expect("sweep spec parses");
+        let ctx = RunContext::plain().with_faults(FaultState::from_plan(&plan));
+        run_ctx(mapping, w, &platform, &ctx)
+            .expect("supported pair")
+            .record
+    };
 
     h.say(format_args!("fault-intensity sweep (seed {seed})"));
     h.say(format_args!(
@@ -57,20 +67,11 @@ fn main() {
         // FFBP/SPMD: the window spans the run so every level lands
         // inside it. Flag drops stay pending here (the SPMD drain uses
         // local flags, not remote writes) — only the timing kinds bite.
-        let plan = FaultPlan::parse(&spec(n, 400_000), seed).expect("sweep spec parses");
-        let faults = FaultState::from_plan(&plan);
-        let r = ffbp_spmd::run_faulted(
-            &fw,
-            epiphany::EpiphanyParams::default(),
-            SpmdOptions::default(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
-        );
-        let ms = r.record.millis();
+        let mut record = faulted(&FfbpSpmdMapping::default(), &fw, 400_000, n);
+        let ms = record.millis();
         if n == 0 {
             ffbp_base = ms;
         }
-        let mut record = r.record;
         record.set_metric("fault_level", n as f64);
         record.set_metric("overhead_pct", 100.0 * (ms / ffbp_base - 1.0));
         h.say(format_args!(
@@ -87,20 +88,11 @@ fn main() {
         // Autofocus/MPMD: a shorter run, so a tighter window; here the
         // flag drops do bite (every inter-stage message is a remote
         // flag write) and cost watchdog timeouts.
-        let plan = FaultPlan::parse(&spec(n, 40_000), seed).expect("sweep spec parses");
-        let faults = FaultState::from_plan(&plan);
-        let r = autofocus_mpmd::run_faulted(
-            &aw,
-            autofocus_mpmd::params(),
-            Placement::neighbor(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
-        );
-        let ms = r.record.millis();
+        let mut record = faulted(&AutofocusMpmdMapping::default(), &aw, 40_000, n);
+        let ms = record.millis();
         if n == 0 {
             af_base = ms;
         }
-        let mut record = r.record;
         record.set_metric("fault_level", n as f64);
         record.set_metric("overhead_pct", 100.0 * (ms / af_base - 1.0));
         h.say(format_args!(

@@ -12,10 +12,16 @@
 use std::path::Path;
 
 use sar_core::gbp::gbp;
+use sar_core::image::ComplexImage;
 use sar_core::quality::{image_entropy, normalized_rmse, peak_sidelobe_ratio_db};
+use sar_epiphany::harness_impls::{FfbpRefMapping, FfbpSeqMapping};
 use sar_epiphany::workloads::FfbpWorkload;
-use sar_epiphany::{ffbp_ref, ffbp_seq};
-use sim_harness::BenchHarness;
+use sim_harness::{run, BenchHarness, EpiphanyPlatform, RefCpuPlatform, RunRecord, Workload};
+
+/// The record and formed image of one registered FFBP pair.
+fn formed(pair: sim_harness::MappingRun) -> (RunRecord, ComplexImage) {
+    (pair.record, pair.image.expect("FFBP forms an image"))
+}
 
 fn main() {
     let mut h = BenchHarness::new("fig7");
@@ -52,41 +58,39 @@ fn main() {
 
     // (c)/(d) FFBP through the two machine models — same kernel, same
     // numbers; only time/energy differ.
-    let intel = ffbp_ref::run(&w, refcpu::RefCpuParams::default());
+    let input = Workload::Ffbp(w);
+    let (intel_record, intel) =
+        formed(run(&FfbpRefMapping, &input, &RefCpuPlatform::default()).expect("supported pair"));
     intel
-        .image
         .write_pgm(&out.join("fig7c_ffbp_intel.pgm"), -50.0)
         .expect("write (c)");
-    let epiphany = ffbp_seq::run(&w, epiphany::EpiphanyParams::default());
+    let (epiphany_record, epiphany) =
+        formed(run(&FfbpSeqMapping, &input, &EpiphanyPlatform::default()).expect("supported pair"));
     epiphany
-        .image
         .write_pgm(&out.join("fig7d_ffbp_epiphany.pgm"), -50.0)
         .expect("write (d)");
 
-    let identical = intel.image.as_slice() == epiphany.image.as_slice();
+    let identical = intel.as_slice() == epiphany.as_slice();
     h.say(format_args!(
         "(c) FFBP on Intel model        -> fig7c_ffbp_intel.pgm    (PSLR {:.1} dB, entropy {:.2})",
-        peak_sidelobe_ratio_db(&intel.image, 4),
-        image_entropy(&intel.image)
+        peak_sidelobe_ratio_db(&intel, 4),
+        image_entropy(&intel)
     ));
     h.say(format_args!(
         "(d) FFBP on Epiphany model     -> fig7d_ffbp_epiphany.pgm (identical to (c): {identical})"
     ));
-    let rmse = normalized_rmse(&intel.image, &reference.image);
+    let rmse = normalized_rmse(&intel, &reference.image);
     h.say("\nQuality vs GBP (the paper: FFBP/NN is visibly noisier):");
     h.say(format_args!("  FFBP normalized RMSE vs GBP : {rmse:.4}"));
     h.say(format_args!(
         "  entropy GBP / FFBP          : {:.2} / {:.2}",
         image_entropy(&reference.image),
-        image_entropy(&intel.image)
+        image_entropy(&intel)
     ));
-    for mut record in [intel.record, epiphany.record] {
+    for mut record in [intel_record, epiphany_record] {
         record.set_metric("rmse_vs_gbp", rmse);
-        record.set_metric("entropy", image_entropy(&intel.image));
-        record.set_metric(
-            "pslr_db",
-            f64::from(peak_sidelobe_ratio_db(&intel.image, 4)),
-        );
+        record.set_metric("entropy", image_entropy(&intel));
+        record.set_metric("pslr_db", f64::from(peak_sidelobe_ratio_db(&intel, 4)));
         record.set_metric("images_identical", f64::from(u8::from(identical)));
         h.record(record);
     }

@@ -5,13 +5,12 @@
 //!
 //! Usage: `cargo run -p bench --bin interp_ablation --release [-- --json]`
 
-use epiphany::EpiphanyParams;
 use sar_core::ffbp::{ffbp, FfbpConfig, InterpKind};
 use sar_core::gbp::gbp;
 use sar_core::quality::{image_entropy, normalized_rmse};
-use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
+use sar_epiphany::harness_impls::FfbpSpmdMapping;
 use sar_epiphany::workloads::FfbpWorkload;
-use sim_harness::BenchHarness;
+use sim_harness::{run, BenchHarness, EpiphanyPlatform, Workload};
 
 fn main() {
     let mut h = BenchHarness::new("interp_ablation");
@@ -37,8 +36,13 @@ fn main() {
             },
             ..base.clone()
         };
-        let mut machine = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
         let plain = ffbp(&w.data, &w.geom, &w.config);
+        let mut machine = run(
+            &FfbpSpmdMapping::default(),
+            &Workload::Ffbp(w),
+            &EpiphanyPlatform::default(),
+        )
+        .expect("supported pair");
         let rmse = normalized_rmse(&plain.image, &reference.image);
         let entropy = image_entropy(&plain.image);
         h.say(format_args!(

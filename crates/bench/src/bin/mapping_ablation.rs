@@ -5,16 +5,17 @@
 //!
 //! Usage: `cargo run -p bench --bin mapping_ablation --release [-- --json]`
 
-use sar_epiphany::autofocus_mpmd::{self, Placement};
+use sar_epiphany::mapping_named_placed;
 use sar_epiphany::workloads::AutofocusWorkload;
-use sim_harness::BenchHarness;
+use sim_harness::{run, BenchHarness, EpiphanyPlatform, Placement, Workload};
 
 fn main() {
     let mut h = BenchHarness::new("mapping_ablation");
-    let w = AutofocusWorkload::paper();
+    let af = AutofocusWorkload::paper();
+    let hypotheses = af.hypotheses;
+    let w = Workload::Autofocus(af);
     h.say(format_args!(
-        "Autofocus MPMD placement ablation ({} hypotheses)",
-        w.hypotheses
+        "Autofocus MPMD placement ablation ({hypotheses} hypotheses)"
     ));
     h.say(format_args!(
         "{:>12} {:>12} {:>16} {:>14} {:>16}",
@@ -24,7 +25,9 @@ fn main() {
         ("neighbor", Placement::neighbor()),
         ("scattered", Placement::scattered()),
     ] {
-        let mut r = autofocus_mpmd::run(&w, autofocus_mpmd::params(), place);
+        let mapping = mapping_named_placed("autofocus_mpmd", place).expect("registered");
+        let mut r =
+            run(mapping.as_ref(), &w, &EpiphanyPlatform::default()).expect("supported pair");
         h.say(format_args!(
             "{:>12} {:>12.3} {:>16.0} {:>11.3e} J {:>13} cyc",
             name,

@@ -4,11 +4,15 @@
 //!
 //! Usage: `cargo run -p bench --bin prefetch_ablation --release [-- --json]`
 
-use epiphany::EpiphanyParams;
 use refcpu::RefCpuParams;
-use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sar_epiphany::{ffbp_ref, ffbp_seq};
-use sim_harness::BenchHarness;
+use sar_epiphany::ffbp_spmd::SpmdOptions;
+use sar_epiphany::harness_impls::{FfbpRefMapping, FfbpSeqMapping, FfbpSpmdMapping};
+use sim_harness::{run, BenchHarness, EpiphanyPlatform, RefCpuPlatform, RunRecord, Workload};
+
+/// A read-split metric the SPMD driver sets on every record.
+fn count(r: &RunRecord, key: &str) -> u64 {
+    r.metric(key).expect("ffbp_spmd records its read split") as u64
+}
 
 fn main() {
     let mut h = BenchHarness::new("prefetch_ablation");
@@ -17,29 +21,26 @@ fn main() {
         "FFBP memory-system ablation ({} pulses x {} bins)",
         w.geom.num_pulses, w.geom.num_bins
     ));
+    let w = Workload::Ffbp(w);
+    let epiphany = EpiphanyPlatform::default();
 
-    let with = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
-    let without = ffbp_spmd::run(
-        &w,
-        EpiphanyParams::default(),
-        SpmdOptions {
+    let with = run(&FfbpSpmdMapping::default(), &w, &epiphany).expect("supported pair");
+    let without = FfbpSpmdMapping {
+        opts: SpmdOptions {
             prefetch: false,
             ..SpmdOptions::default()
         },
-    );
+    };
+    let without = run(&without, &w, &epiphany).expect("supported pair");
     h.say("\nEpiphany SPMD (16 cores):");
-    h.say(format_args!(
-        "  prefetch ON : {:>10.2} ms   local {} / external {}",
-        with.record.millis(),
-        with.local_hits,
-        with.external_misses
-    ));
-    h.say(format_args!(
-        "  prefetch OFF: {:>10.2} ms   local {} / external {}",
-        without.record.millis(),
-        without.local_hits,
-        without.external_misses
-    ));
+    for (label, r) in [("ON ", &with.record), ("OFF", &without.record)] {
+        h.say(format_args!(
+            "  prefetch {label}: {:>10.2} ms   local {} / external {}",
+            r.millis(),
+            count(r, "local_hits"),
+            count(r, "external_misses")
+        ));
+    }
     h.say(format_args!(
         "  prefetch speedup: {}",
         bench::fmt_x(without.record.elapsed.seconds() / with.record.elapsed.seconds())
@@ -57,9 +58,12 @@ fn main() {
     // Sequential side: Epiphany's naive port vs the i7 with and
     // without *its* prefetcher — the other half of the paper's
     // memory-system argument.
-    let seq = ffbp_seq::run(&w, EpiphanyParams::default());
-    let i7 = ffbp_ref::run(&w, RefCpuParams::default());
-    let i7_nopf = ffbp_ref::run(&w, RefCpuParams::without_prefetch());
+    let seq = run(&FfbpSeqMapping, &w, &epiphany).expect("supported pair");
+    let i7 = run(&FfbpRefMapping, &w, &RefCpuPlatform::default()).expect("supported pair");
+    let i7_nopf = RefCpuPlatform {
+        params: RefCpuParams::without_prefetch(),
+    };
+    let i7_nopf = run(&FfbpRefMapping, &w, &i7_nopf).expect("supported pair");
     h.say("\nSequential configurations:");
     h.say(format_args!(
         "  Epiphany 1 core (no cache)     : {:>10.2} ms",

@@ -4,10 +4,10 @@
 //! Usage: `cargo run -p bench --bin scaling --release [-- --full] [-- --json]`
 //! (default uses a 256-pulse workload; `--full` runs the paper size).
 
-use epiphany::EpiphanyParams;
-use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
+use sar_epiphany::ffbp_spmd::SpmdOptions;
+use sar_epiphany::harness_impls::FfbpSpmdMapping;
 use sar_epiphany::workloads::FfbpWorkload;
-use sim_harness::BenchHarness;
+use sim_harness::{run, BenchHarness, EpiphanyPlatform, Workload};
 
 fn main() {
     let mut h = BenchHarness::new("scaling");
@@ -24,16 +24,16 @@ fn main() {
         "{:>6} {:>12} {:>9} {:>11} {:>12} {:>10}",
         "cores", "time (ms)", "speedup", "efficiency", "eLink util", "misses"
     ));
+    let w = Workload::Ffbp(w);
     let mut base_ms = None;
     for cores in [1usize, 2, 4, 8, 16, 32, 64] {
-        let mut r = ffbp_spmd::run(
-            &w,
-            EpiphanyParams::default(),
-            SpmdOptions {
+        let mapping = FfbpSpmdMapping {
+            opts: SpmdOptions {
                 cores: Some(cores),
                 ..SpmdOptions::default()
             },
-        );
+        };
+        let mut r = run(&mapping, &w, &EpiphanyPlatform::default()).expect("supported pair");
         let ms = r.record.millis();
         let base = *base_ms.get_or_insert(ms);
         let speedup = base / ms;
@@ -44,7 +44,7 @@ fn main() {
             speedup,
             100.0 * speedup / cores as f64,
             100.0 * r.record.elink_utilization(),
-            r.external_misses
+            r.record.metric("external_misses").expect("read split") as u64
         ));
         r.record.set_metric("speedup_vs_1", speedup);
         h.record(r.record);

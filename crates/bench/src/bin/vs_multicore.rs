@@ -10,10 +10,9 @@
 //!
 //! Usage: `cargo run -p bench --bin vs_multicore --release [-- --json]`
 
-use epiphany::EpiphanyParams;
 use sar_core::parallel::ffbp_parallel;
-use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sim_harness::{BenchHarness, EPIPHANY_POWER_W};
+use sar_epiphany::harness_impls::FfbpSpmdMapping;
+use sim_harness::{run, BenchHarness, EpiphanyPlatform, Workload, EPIPHANY_POWER_W};
 
 /// Assumed host package power under load, watts (a mobile/desktop
 /// multicore; adjust for your machine).
@@ -57,7 +56,12 @@ fn main() {
         h.record(record);
     }
 
-    let epi = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
+    let epi = run(
+        &FfbpSpmdMapping::default(),
+        &Workload::Ffbp(w),
+        &EpiphanyPlatform::default(),
+    )
+    .expect("supported pair");
     let secs = epi.record.elapsed.seconds();
     let mpx = pixels / secs / 1e6;
     h.say(format_args!(

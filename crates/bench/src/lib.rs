@@ -2,6 +2,8 @@
 //!
 //! Binaries (one per paper artefact or ablation — see DESIGN.md §4):
 //!
+//! * `run` — the unified runner: any registered Mapping × Platform ×
+//!   Workload triple through `sim_harness::run_ctx`,
 //! * `table1` — Table I (all six configurations) + derived figures,
 //! * `fig7` — Figure 7(a)-(d) as PGM images + quality metrics,
 //! * `scaling` — FFBP core-count sweep (A1),
@@ -17,12 +19,19 @@
 //! * `loader_cost` — SPMD vs MPMD program-load cost (A8),
 //! * `vs_multicore` — real host threads vs the simulated Epiphany on
 //!   throughput per watt (A9),
-//! * `run` — the unified runner: any registered Mapping × Platform ×
-//!   Workload triple through `sim_harness::run`.
+//! * `fault_sweep` — recovery overhead vs injected-fault count,
+//! * `rda_corner_turn` — the RDA corner-turn pressure study (E6).
 //!
 //! Every binary sits on [`sim_harness::BenchHarness`]: the shared
 //! `--small` / `--json` / `--out P` / `--no-write` flags, and one
-//! versioned record document written under `results/`.
+//! versioned record document written under `results/`. Every simulated
+//! configuration runs as a registered pair through
+//! `sim_harness::run_ctx` (or its fault-free shorthand `run`), which stamps the
+//! record's identity and closes its energy books; an ablation varies
+//! the platform (`EpiphanyPlatform::with_params`, `RefCpuPlatform {
+//! params }`), the mapping's options, the workload or the fault
+//! context — never a driver call. Only the host-thread timings of plain
+//! `sar-core` arithmetic use `BenchHarness::host_record`.
 
 #![forbid(unsafe_code)]
 

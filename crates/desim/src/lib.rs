@@ -5,39 +5,23 @@
 //!
 //! * a [`Cycle`] simulation clock (one tick = one clock cycle of the
 //!   modelled clock domain),
-//! * an event queue with *deterministic* tie-breaking ([`Simulator`]),
 //! * FIFO-arbitrated shared resources with a fixed service rate
 //!   ([`resource::FifoResource`]), used to model links, memory ports and
 //!   DMA channels,
 //! * lightweight statistics: counters, histograms and busy-time trackers
 //!   ([`stats`]).
 //!
-//! The kernel is intentionally *not* a coroutine framework: the machine
-//! models in this workspace are transaction-level and batch pure compute
-//! analytically, so a simple "earliest deadline first" timeline with
-//! explicit resource reservations is both faster and easier to test than
-//! a process-interleaving scheduler.
-//!
-//! # Example
-//!
-//! ```
-//! use desim::{Cycle, Simulator};
-//!
-//! let mut sim = Simulator::new();
-//! let mut fired = Vec::new();
-//! sim.schedule(Cycle(10), 7u32);
-//! sim.schedule(Cycle(5), 3u32);
-//! while let Some((t, payload)) = sim.pop() {
-//!     fired.push((t, payload));
-//! }
-//! assert_eq!(fired, vec![(Cycle(5), 3), (Cycle(10), 7)]);
-//! ```
+//! The kernel is intentionally *not* an event-queue or coroutine
+//! framework: the machine models in this workspace are transaction-level
+//! and batch pure compute analytically, so each resource keeps a
+//! reservation cursor (the cycle it next falls free) and a request is
+//! priced by reserving it — deterministic by construction, and both
+//! faster and easier to test than a process-interleaving scheduler.
 
 #![forbid(unsafe_code)]
 
 pub mod json;
 pub mod power;
-pub mod queue;
 pub mod record;
 pub mod resource;
 pub mod rng;
@@ -48,7 +32,6 @@ pub mod work;
 
 pub use json::Json;
 pub use power::{PhaseAttribution, PhasePower, PowerEpoch, PowerRecord, PowerTimeline};
-pub use queue::{EventQueue, Simulator};
 pub use record::{
     EnergyRecord, FaultRecord, LinkLoad, MeshHeatmap, MeshUtilization, PhaseRecord, RunRecord,
     RUN_RECORD_VERSION,

@@ -1,8 +1,9 @@
 //! The unified run harness (DESIGN.md §3 S12): every kernel × machine
-//! pair in the repo runs through one entry point,
-//! [`run`]`(mapping, workload, platform) -> `[`MappingRun`], and every
-//! result is one serialisable [`desim::RunRecord`] with per-phase
-//! observability.
+//! pair in the repo runs through one path,
+//! [`run_ctx`]`(mapping, workload, platform, ctx) -> `[`MappingRun`]
+//! ([`run`] and [`run_traced`] are its fault-free shorthands), and
+//! every result is one serialisable [`desim::RunRecord`] with
+//! per-phase observability.
 //!
 //! The three contracts:
 //!
@@ -11,8 +12,8 @@
 //!   power;
 //! * [`Mapping`] — one way of running a kernel on a machine family
 //!   (implementations live in `sar-epiphany`, next to their drivers);
-//! * [`desim::RunRecord`] — the single result shape, stamped by [`run`]
-//!   with the full kernel/mapping/platform identity.
+//! * [`desim::RunRecord`] — the single result shape, stamped by
+//!   [`run_ctx`] with the full kernel/mapping/platform identity.
 //!
 //! [`BenchHarness`] is the shared CLI runner the report binaries sit
 //! on: common `--small`/`--json`/`--out` flags and one versioned JSON

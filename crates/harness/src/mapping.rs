@@ -12,26 +12,22 @@ use faultsim::FaultState;
 use sar_core::image::ComplexImage;
 
 use crate::model::ProgramModel;
-use crate::placement::Placement;
 use crate::platform::{Platform, PlatformKind};
 use crate::workload::Workload;
 
 /// Everything a driver may consult while executing: the run's event
-/// timeline, its fault schedule, and an optional placement override.
-/// [`run_ctx`] passes it through to [`Mapping::execute_ctx`];
-/// [`run_traced`] wraps a bare tracer in a fault-free context, so the
-/// two entry points price identically when no faults are armed.
+/// timeline and its fault schedule. [`run_ctx`] passes it through to
+/// [`Mapping::execute`]; [`run_traced`] wraps a bare tracer in a
+/// fault-free context, so the two entry points price identically when
+/// no faults are armed. Placement is a property of the mapping
+/// (`mapping_named_placed` in `sar-epiphany`), not of the run, so the
+/// simulator and the static analyzer always see the same one.
 #[derive(Clone)]
 pub struct RunContext {
     /// Event timeline (disabled unless the caller requested a trace).
     pub tracer: Tracer,
     /// Fault schedule (disabled unless the caller armed one).
     pub faults: FaultState,
-    /// Placement override for placement-aware mappings (`None` keeps
-    /// the mapping's own placement). Mappings without a placement
-    /// ignore it — injecting a placement never changes kernel results,
-    /// only routing.
-    pub placement: Option<Placement>,
 }
 
 impl Default for RunContext {
@@ -39,7 +35,6 @@ impl Default for RunContext {
         RunContext {
             tracer: Tracer::disabled(),
             faults: FaultState::disabled(),
-            placement: None,
         }
     }
 }
@@ -62,13 +57,6 @@ impl RunContext {
     #[must_use]
     pub fn with_faults(mut self, faults: FaultState) -> RunContext {
         self.faults = faults;
-        self
-    }
-
-    /// Override the placement of placement-aware mappings.
-    #[must_use]
-    pub fn with_placement(mut self, placement: Placement) -> RunContext {
-        self.placement = Some(placement);
         self
     }
 }
@@ -143,35 +131,24 @@ pub trait Mapping {
     /// Identity stamped into [`RunRecord::mapping`] and resolved by the
     /// `--mapping` flag (e.g. `"ffbp_spmd"`).
     fn name(&self) -> &'static str;
-    /// The kernel this runs: `"ffbp"` or `"autofocus"`.
+    /// The kernel this runs: `"ffbp"`, `"autofocus"` or `"rda"`.
     fn kernel(&self) -> &'static str;
     /// Whether the mapping can execute on `kind`.
     fn supports(&self, kind: PlatformKind) -> bool;
-    /// Run the workload. Called through [`crate::run`], which validates
+    /// Run the workload. Called through [`run_ctx`], which validates
     /// kernel/platform compatibility first and stamps record identity
-    /// after. `tracer` is the run's event timeline — disabled unless
-    /// the caller requested a trace; drivers with machine models hand
-    /// it to the chip, others may ignore it (the harness synthesises
-    /// phase spans from the record).
+    /// after. `ctx.tracer` is the run's event timeline — disabled
+    /// unless the caller requested a trace; drivers with machine
+    /// models hand it to the chip, others may ignore it (the harness
+    /// synthesises phase spans from the record). `ctx.faults` is the
+    /// fault schedule: only mappings with a recovery story consult it,
+    /// and with it disabled they price exactly as the fault-free path.
     fn execute(
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError>;
-    /// Run the workload with a full run context (tracer + fault
-    /// schedule). The default forwards to [`Mapping::execute`] and
-    /// ignores the fault schedule — only mappings with a recovery
-    /// story override this, and they must keep the fault-free path
-    /// bit-identical to `execute`.
-    fn execute_ctx(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
         ctx: &RunContext,
-    ) -> Result<MappingRun, HarnessError> {
-        self.execute(workload, platform, &ctx.tracer)
-    }
+    ) -> Result<MappingRun, HarnessError>;
     /// What the mapping declares about its memory, channels and
     /// synchronisation — the input to the `sarlint` static checks
     /// (DESIGN.md §3 S14). `None` means the mapping makes no checkable
@@ -182,9 +159,9 @@ pub trait Mapping {
     }
 }
 
-/// The single entry point: validate the kernel × machine pair, execute,
-/// and stamp the record with its full identity. Runs untraced — use
-/// [`run_traced`] to capture an event timeline.
+/// [`run_ctx`] with neither tracing nor faults: validate the kernel ×
+/// machine pair, execute, and stamp the record with its full identity.
+/// Use [`run_traced`] to capture an event timeline.
 pub fn run(
     mapping: &dyn Mapping,
     workload: &Workload,
@@ -212,9 +189,12 @@ pub fn run_traced(
     )
 }
 
-/// The full entry point: [`run_traced`] plus a fault schedule. When
-/// faults are armed the seed is stamped into the record's counters
-/// (`fault_seed`), so a record alone is enough to reproduce its run.
+/// The one run path every registered pair goes through ([`run`] and
+/// [`run_traced`] are its shorthands): validate the pair, call
+/// [`Mapping::execute`] with `ctx`, stamp the record's identity and
+/// platform power, and close its energy books. When faults are armed
+/// the seed is stamped into the record's counters (`fault_seed`), so a
+/// record alone is enough to reproduce its run.
 pub fn run_ctx(
     mapping: &dyn Mapping,
     workload: &Workload,
@@ -233,7 +213,7 @@ pub fn run_ctx(
             platform: platform.label().to_string(),
         });
     }
-    let mut out = mapping.execute_ctx(workload, platform, ctx)?;
+    let mut out = mapping.execute(workload, platform, ctx)?;
     out.record.kernel = mapping.kernel().to_string();
     out.record.mapping = mapping.name().to_string();
     out.record.platform = platform.label().to_string();
@@ -403,7 +383,7 @@ mod tests {
             &self,
             _w: &Workload,
             _p: &dyn Platform,
-            _tracer: &Tracer,
+            _ctx: &RunContext,
         ) -> Result<MappingRun, HarnessError> {
             let span = TimeSpan::new(Cycle(1000), Frequency::ghz(1.0));
             let mut record = RunRecord::new("null", span);

@@ -5,9 +5,11 @@
 //! [`Placement::rebased`] renumbers onto wider meshes while preserving
 //! every core's `(x, y)` coordinate, so hop counts — and therefore the
 //! mesh-energy profile — survive the move. The type lives in the
-//! harness (not `sar-epiphany`) so [`RunContext`](crate::RunContext)
-//! can carry a placement override and the `autotune` search engine can
-//! manipulate placements without depending on the drivers.
+//! harness (not `sar-epiphany`) so the `autotune` search engine can
+//! manipulate placements without depending on the drivers. A placement
+//! reaches a run only through the placed mapping
+//! (`sar_epiphany::mapping_named_placed`), which hands the same value
+//! to its simulator and to its program model.
 //!
 //! Placements round-trip through JSON (`{"version": 1, "range": ...,
 //! "beam": ..., "corr": ...}`): [`Placement::to_json`] /

@@ -13,84 +13,56 @@
 //! on-chip/off-chip bandwidth ratio) for the pipeline not bottlenecking
 //! at the correlator.
 
-use desim::{Cycle, OpCounts, RunRecord};
+use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
-use faultsim::FaultState;
 use memsim::GlobalAddr;
 use sar_core::autofocus::criterion::{BeamStageOut, RangeStageOut};
 use sar_core::autofocus::{beam_stage, best_shift, correlate_partial, range_stage};
+use sim_harness::{MappingRun, RunContext};
 
-use crate::autofocus_seq::AUTOFOCUS_PAIRING;
 use crate::layout::BANK_CHILD_A;
 use crate::workloads::AutofocusWorkload;
 
-/// Epiphany parameters specialised to this kernel.
-pub fn params() -> EpiphanyParams {
-    EpiphanyParams {
-        pairing_efficiency: AUTOFOCUS_PAIRING,
-        ..EpiphanyParams::default()
-    }
-}
-
-// The placement type lives in the harness (so `RunContext` can carry
-// an override and `autotune` can search over it); re-exported here
-// where it historically lived, next to the drivers that consume it.
+// The placement type lives in the harness (so `autotune` can search
+// over it without depending on the drivers); re-exported here, next
+// to the drivers that consume it. A placed mapping comes from
+// `mapping_named_placed`, which hands the same placement to this
+// driver and to the mapping's program model.
 pub use sim_harness::Placement;
 
-/// Outcome of the MPMD run.
-pub struct AutofocusMpmdRun {
-    /// Machine record (one phase per hypothesis, with per-stage
-    /// occupancy and correlator wait/queue-depth metrics).
-    pub record: RunRecord,
-    /// `(shift, criterion)` per hypothesis.
-    pub sweep: Vec<(f32, f32)>,
-    /// The winning compensation.
-    pub best: (f32, f32),
-}
-
-/// Execute the autofocus workload on the 13-core pipeline.
-pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, place: Placement) -> AutofocusMpmdRun {
-    run_traced(w, params, place, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline: the chip emits its spans into
-/// `tracer`.
-pub fn run_traced(
-    w: &AutofocusWorkload,
-    params: EpiphanyParams,
-    place: Placement,
-    tracer: desim::trace::Tracer,
-) -> AutofocusMpmdRun {
-    run_faulted(w, params, place, tracer, FaultState::disabled())
-}
-
-/// [`run_traced`] under a fault schedule. Two recovery policies
-/// compose here: every inter-stage flag message goes through
-/// [`Chip::send_reliable`] (producer-side watchdog, so a dropped flag
-/// costs a timeout and a re-send instead of a hang), and a core that
-/// halts permanently is handled by *drain-and-restart* — the current
-/// hypothesis's in-flight results are discarded, the dead core's
-/// stage is remapped onto one of the three spare cores
-/// ([`Placement::remap`], re-staging the block data if it was a range
-/// core), and the hypothesis is re-run on the repaired pipeline. The
-/// sweep is bit-identical to the fault-free run because a restarted
-/// hypothesis recomputes exactly the same values. With `faults`
-/// disabled this is exactly [`run_traced`].
-pub fn run_faulted(
+/// Execute the autofocus workload on the 13-core pipeline placed by
+/// `place`: one phase per hypothesis (with per-stage occupancy and
+/// correlator wait/queue-depth metrics), the `(shift, criterion)`
+/// sweep and the winning compensation. `params` is used as given — the
+/// kernel's pairing specialisation is the registry's job. The chip
+/// emits its spans into `ctx.tracer`.
+///
+/// Under `ctx.faults` two recovery policies compose: every
+/// inter-stage flag message goes through [`Chip::send_reliable`]
+/// (producer-side watchdog, so a dropped flag costs a timeout and a
+/// re-send instead of a hang), and a core that halts permanently is
+/// handled by *drain-and-restart* — the current hypothesis's in-flight
+/// results are discarded, the dead core's stage is remapped onto one
+/// of the three spare cores ([`Placement::remap`], re-staging the
+/// block data if it was a range core), and the hypothesis is re-run on
+/// the repaired pipeline. The sweep is bit-identical to the fault-free
+/// run because a restarted hypothesis recomputes exactly the same
+/// values.
+pub fn run(
     w: &AutofocusWorkload,
     params: EpiphanyParams,
     mut place: Placement,
-    tracer: desim::trace::Tracer,
-    faults: FaultState,
-) -> AutofocusMpmdRun {
+    ctx: &RunContext,
+) -> MappingRun {
+    let faults = &ctx.faults;
     assert_eq!(
         place.cores().len(),
         13,
         "the mapping must use 13 distinct cores"
     );
     let mut chip = Chip::from_params(params);
-    chip.set_tracer(tracer);
+    chip.set_tracer(ctx.tracer.clone());
     chip.set_faults(faults.clone());
     // Placements are written in E16G3 (4-column) ids; renumber onto
     // the chip's actual mesh, preserving coordinates and hop counts.
@@ -287,25 +259,46 @@ pub fn run_faulted(
     }
 
     let best = best_shift(&sweep);
-    AutofocusMpmdRun {
+    MappingRun {
         record: chip.report("Autofocus / Epiphany, 13 cores @ 1 GHz (MPMD pipeline)", 13),
-        sweep,
-        best,
+        image: None,
+        sweep: Some(sweep),
+        best: Some(best),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autofocus_seq;
+    use crate::harness_impls::run_registered;
+    use crate::mapping_named_placed;
+    use faultsim::FaultState;
+    use sim_harness::{EpiphanyPlatform, Workload};
+
+    fn plain(w: &AutofocusWorkload, place: Placement) -> MappingRun {
+        run(w, EpiphanyParams::default(), place, &RunContext::plain())
+    }
+
+    fn faulted(w: &AutofocusWorkload, faults: FaultState) -> MappingRun {
+        let ctx = RunContext::plain().with_faults(faults);
+        run(w, EpiphanyParams::default(), Placement::neighbor(), &ctx)
+    }
+
+    /// The registered pair with `place`, priced as Table I prices it.
+    fn placed(w: &AutofocusWorkload, place: Placement) -> MappingRun {
+        let m = mapping_named_placed("autofocus_mpmd", place).unwrap();
+        let w = Workload::Autofocus(w.clone());
+        sim_harness::run(m.as_ref(), &w, &EpiphanyPlatform::default()).unwrap()
+    }
 
     #[test]
     fn pipeline_computes_the_same_criterion_as_sequential() {
-        let w = AutofocusWorkload::small();
-        let mpmd = run(&w, params(), Placement::neighbor());
-        let seq = autofocus_seq::run(&w, autofocus_seq::params());
-        assert_eq!(mpmd.sweep.len(), seq.sweep.len());
-        for ((s1, v1), (s2, v2)) in mpmd.sweep.iter().zip(&seq.sweep) {
+        let w = Workload::Autofocus(AutofocusWorkload::small());
+        let mpmd = run_registered("autofocus_mpmd", "epiphany", w.clone());
+        let seq = run_registered("autofocus_seq", "epiphany", w);
+        let (mpmd, seq) = (mpmd.sweep.unwrap(), seq.sweep.unwrap());
+        assert_eq!(mpmd.len(), seq.len());
+        for ((s1, v1), (s2, v2)) in mpmd.iter().zip(&seq) {
             assert_eq!(s1, s2);
             assert!(
                 (v1 - v2).abs() <= 1e-3 * v2.abs().max(1.0),
@@ -316,9 +309,9 @@ mod tests {
 
     #[test]
     fn thirteen_cores_pipeline_much_faster_than_one() {
-        let w = AutofocusWorkload::paper();
-        let mpmd = run(&w, params(), Placement::neighbor());
-        let seq = autofocus_seq::run(&w, autofocus_seq::params());
+        let w = Workload::Autofocus(AutofocusWorkload::paper());
+        let mpmd = run_registered("autofocus_mpmd", "epiphany", w.clone());
+        let seq = run_registered("autofocus_seq", "epiphany", w);
         let speedup = seq.record.elapsed.seconds() / mpmd.record.elapsed.seconds();
         assert!(
             speedup > 4.0,
@@ -338,8 +331,8 @@ mod tests {
         // message across more hops — more byte-hop energy, and at most
         // noise-level time difference.
         let w = AutofocusWorkload::paper();
-        let near = run(&w, params(), Placement::neighbor());
-        let far = run(&w, params(), Placement::scattered());
+        let near = placed(&w, Placement::neighbor());
+        let far = placed(&w, Placement::scattered());
         assert!(
             far.record.energy.mesh_j > 1.2 * near.record.energy.mesh_j,
             "scattered placement should burn more mesh energy: {:.3e} vs {:.3e} J",
@@ -363,7 +356,7 @@ mod tests {
     #[test]
     fn streaming_avoids_offchip_traffic() {
         let w = AutofocusWorkload::paper();
-        let r = run(&w, params(), Placement::neighbor());
+        let r = plain(&w, Placement::neighbor());
         // Off-chip: initial DMA + one criterion write per hypothesis.
         assert_eq!(r.record.counters.get("ext_read"), 0);
         assert_eq!(r.record.counters.get("ext_write"), w.hypotheses as u64);
@@ -375,7 +368,7 @@ mod tests {
     fn a_halted_pipeline_core_is_remapped_onto_a_spare() {
         use faultsim::{FaultEvent, FaultPlan};
         let w = AutofocusWorkload::small();
-        let clean = run(&w, params(), Placement::neighbor());
+        let clean = plain(&w, Placement::neighbor());
         // Core 4 is a block-0 range core in the neighbor placement, so
         // the remap must also re-stage its image block.
         let plan = FaultPlan::from_events(
@@ -386,13 +379,7 @@ mod tests {
             }],
         );
         let faults = FaultState::from_plan(&plan);
-        let r = run_faulted(
-            &w,
-            params(),
-            Placement::neighbor(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
-        );
+        let r = faulted(&w, faults.clone());
         assert_eq!(
             r.sweep, clean.sweep,
             "drain-and-restart must reproduce the fault-free sweep exactly"
@@ -410,7 +397,7 @@ mod tests {
     fn dropped_flags_are_retried_without_changing_the_sweep() {
         use faultsim::{FaultEvent, FaultPlan};
         let w = AutofocusWorkload::small();
-        let clean = run(&w, params(), Placement::neighbor());
+        let clean = plain(&w, Placement::neighbor());
         let plan = FaultPlan::from_events(
             9,
             vec![
@@ -419,13 +406,7 @@ mod tests {
             ],
         );
         let faults = FaultState::from_plan(&plan);
-        let r = run_faulted(
-            &w,
-            params(),
-            Placement::neighbor(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
-        );
+        let r = faulted(&w, faults.clone());
         assert_eq!(r.sweep, clean.sweep);
         let t = faults.totals();
         assert_eq!(t.faults_injected, 2);
@@ -451,15 +432,7 @@ mod tests {
                 },
             ],
         );
-        let go = || {
-            run_faulted(
-                &w,
-                params(),
-                Placement::neighbor(),
-                desim::trace::Tracer::disabled(),
-                FaultState::from_plan(&plan),
-            )
-        };
+        let go = || faulted(&w, FaultState::from_plan(&plan));
         let (a, b) = (go(), go());
         assert_eq!(a.record.elapsed.cycles, b.record.elapsed.cycles);
         assert_eq!(a.record.faults, b.record.faults);
@@ -481,11 +454,11 @@ mod tests {
     #[test]
     fn recovers_the_injected_path_error() {
         let w = AutofocusWorkload::paper();
-        let r = run(&w, params(), Placement::neighbor());
+        let best = plain(&w, Placement::neighbor()).best.unwrap();
         assert!(
-            (r.best.0 - w.true_shift).abs() <= 0.15,
+            (best.0 - w.true_shift).abs() <= 0.15,
             "found {} expected {}",
-            r.best.0,
+            best.0,
             w.true_shift
         );
     }

@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use desim::{OpCounts, RunRecord};
+use desim::OpCounts;
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
 use memsim::GlobalAddr;
@@ -18,6 +18,7 @@ use sar_core::autofocus::criterion::{
     beam_stage, correlate_partial, range_stage, AutofocusConfig, BeamStageOut, RangeStageOut,
 };
 use sar_core::autofocus::{best_shift, Block6};
+use sim_harness::{MappingRun, RunContext};
 use streams::{Actor, FireCtx, Network};
 
 use crate::autofocus_mpmd::Placement;
@@ -171,34 +172,22 @@ impl Actor<AfToken> for CorrActor {
     }
 }
 
-/// Outcome of the network run.
-pub struct AutofocusNetRun {
-    /// Machine record (one phase per hypothesis, with the channels'
-    /// high-water queue depth as a per-phase metric).
-    pub record: RunRecord,
-    /// `(shift, criterion)` per hypothesis.
-    pub sweep: Vec<(f32, f32)>,
-    /// The winning compensation.
-    pub best: (f32, f32),
-    /// Total actor firings (pipeline activity).
-    pub firings: u64,
-}
-
-/// Run the workload on the declarative pipeline with `place`.
-pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, place: Placement) -> AutofocusNetRun {
-    run_traced(w, params, place, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline: the chip emits its spans into
-/// `tracer`.
-pub fn run_traced(
+/// Run the workload on the declarative pipeline with `place`: one
+/// phase per hypothesis (with the channels' high-water queue depth as
+/// a per-phase metric), the run-level `firings` metric (total actor
+/// firings), the `(shift, criterion)` sweep and the winning
+/// compensation. `params` is used as given — the kernel's pairing
+/// specialisation is the registry's job. The chip emits its spans into
+/// `ctx.tracer`; the network has no recovery story, so `ctx.faults` is
+/// ignored.
+pub fn run(
     w: &AutofocusWorkload,
     params: EpiphanyParams,
     place: Placement,
-    tracer: desim::trace::Tracer,
-) -> AutofocusNetRun {
+    ctx: &RunContext,
+) -> MappingRun {
     let mut chip = Chip::from_params(params);
-    chip.set_tracer(tracer);
+    chip.set_tracer(ctx.tracer.clone());
     // Placements use canonical E16G3 (4-column) ids; renumber onto
     // the chip's actual mesh, preserving coordinates and hop counts.
     let place = place.rebased(chip.mesh_dims().0, chip.mesh_dims().1);
@@ -307,46 +296,41 @@ pub fn run_traced(
         net.chip_mut().phase_end();
     }
 
-    let record = net
+    let mut record = net
         .chip()
         .report("Autofocus / Epiphany, 13 cores (streams network)", 13);
+    record.set_metric("firings", firings as f64);
     let sweep = results.borrow().clone();
     let best = best_shift(&sweep);
-    AutofocusNetRun {
+    MappingRun {
         record,
-        sweep,
-        best,
-        firings,
+        image: None,
+        sweep: Some(sweep),
+        best: Some(best),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autofocus_mpmd;
-    use crate::autofocus_seq::AUTOFOCUS_PAIRING;
-
-    fn params() -> EpiphanyParams {
-        EpiphanyParams {
-            pairing_efficiency: AUTOFOCUS_PAIRING,
-            ..EpiphanyParams::default()
-        }
-    }
+    use crate::harness_impls::run_registered;
+    use sim_harness::Workload;
 
     #[test]
     fn network_matches_the_hand_written_mapping_numerically() {
-        let w = AutofocusWorkload::small();
-        let net = run(&w, params(), Placement::neighbor());
-        let hand = autofocus_mpmd::run(&w, autofocus_mpmd::params(), Placement::neighbor());
-        assert_eq!(net.sweep.len(), hand.sweep.len());
-        for ((s1, v1), (s2, v2)) in net.sweep.iter().zip(&hand.sweep) {
+        let w = Workload::Autofocus(AutofocusWorkload::small());
+        let net = run_registered("autofocus_net", "epiphany", w.clone());
+        let hand = run_registered("autofocus_mpmd", "epiphany", w);
+        let (net_sweep, hand_sweep) = (net.sweep.unwrap(), hand.sweep.unwrap());
+        assert_eq!(net_sweep.len(), hand_sweep.len());
+        for ((s1, v1), (s2, v2)) in net_sweep.iter().zip(&hand_sweep) {
             assert!((s1 - s2).abs() < 1e-6, "shift grid mismatch: {s1} vs {s2}");
             assert!(
                 (v1 - v2).abs() <= 1e-3 * v2.abs().max(1.0),
                 "criterion mismatch at {s1}: {v1} vs {v2}"
             );
         }
-        assert_eq!(net.best.0, hand.best.0);
+        assert_eq!(net.best.unwrap().0, hand.best.unwrap().0);
     }
 
     #[test]
@@ -354,9 +338,9 @@ mod tests {
         // The declarative version pays nothing material for its
         // abstraction: same compute, same placement, same message
         // sizes; scheduling differences stay within a small band.
-        let w = AutofocusWorkload::paper();
-        let net = run(&w, params(), Placement::neighbor());
-        let hand = autofocus_mpmd::run(&w, autofocus_mpmd::params(), Placement::neighbor());
+        let w = Workload::Autofocus(AutofocusWorkload::paper());
+        let net = run_registered("autofocus_net", "epiphany", w.clone());
+        let hand = run_registered("autofocus_mpmd", "epiphany", w);
         let ratio = net.record.elapsed.seconds() / hand.record.elapsed.seconds();
         assert!(
             (0.7..1.4).contains(&ratio),
@@ -369,20 +353,31 @@ mod tests {
     #[test]
     fn firing_count_matches_the_dataflow() {
         let w = AutofocusWorkload::small();
-        let net = run(&w, params(), Placement::neighbor());
+        let net = run(
+            &w,
+            EpiphanyParams::default(),
+            Placement::neighbor(),
+            &RunContext::plain(),
+        );
         // Per (hypothesis, iteration): 6 range + 6 beam + 1 corr = 13.
         let rounds = w.hypotheses as u64 * 3;
-        assert_eq!(net.firings, 13 * rounds);
+        assert_eq!(net.record.metric("firings"), Some((13 * rounds) as f64));
     }
 
     #[test]
     fn recovers_the_injected_error() {
         let w = AutofocusWorkload::paper();
-        let net = run(&w, params(), Placement::neighbor());
+        let net = run(
+            &w,
+            EpiphanyParams::default(),
+            Placement::neighbor(),
+            &RunContext::plain(),
+        );
+        let best = net.best.unwrap();
         assert!(
-            (net.best.0 - w.true_shift).abs() <= 0.15,
+            (best.0 - w.true_shift).abs() <= 0.15,
             "found {} expected {}",
-            net.best.0,
+            best.0,
             w.true_shift
         );
     }

@@ -6,9 +6,10 @@
 //! because the i7's clock advantage is offset by executing almost twice
 //! the instructions (no FMA) on a latency-bound dependence chain.
 
-use desim::{OpCounts, RunRecord};
+use desim::OpCounts;
 use refcpu::{RefCpu, RefCpuParams};
 use sar_core::autofocus::{best_shift, focus_criterion};
+use sim_harness::{MappingRun, RunContext};
 
 use crate::workloads::AutofocusWorkload;
 
@@ -16,29 +17,16 @@ use crate::workloads::AutofocusWorkload;
 /// each interpolation level waits on the previous one, so the
 /// out-of-order window cannot fill its issue slots (the FFBP geometry
 /// kernel, by contrast, has two independent chains and sustains the
-/// [`RefCpuParams::default`] IPC).
+/// [`RefCpuParams::default`] IPC). The registry's `autofocus_ref`
+/// mapping applies it on top of the platform's parameters.
 pub const AUTOFOCUS_SUSTAINED_IPC: f64 = 0.8;
 
-/// Reference-model parameters specialised to this kernel.
-pub fn params() -> RefCpuParams {
-    RefCpuParams {
-        sustained_ipc: AUTOFOCUS_SUSTAINED_IPC,
-        ..RefCpuParams::default()
-    }
-}
-
-/// Outcome of the reference run.
-pub struct AutofocusRefRun {
-    /// Machine record (one phase per hypothesis).
-    pub record: RunRecord,
-    /// `(shift, criterion)` per hypothesis.
-    pub sweep: Vec<(f32, f32)>,
-    /// The winning compensation.
-    pub best: (f32, f32),
-}
-
-/// Execute the autofocus workload on the reference CPU model.
-pub fn run(w: &AutofocusWorkload, params: RefCpuParams) -> AutofocusRefRun {
+/// Execute the autofocus workload on the reference CPU model: one
+/// phase per hypothesis, the `(shift, criterion)` sweep and the winning
+/// compensation. `params` is used as given — the kernel's IPC
+/// specialisation is the registry's job. The model has no tracer and
+/// no recovery story, so `_ctx` is unused.
+pub fn run(w: &AutofocusWorkload, params: RefCpuParams, _ctx: &RunContext) -> MappingRun {
     let mut cpu = RefCpu::new(params);
     let mut counts = OpCounts::default();
     let mut charged = OpCounts::default();
@@ -62,33 +50,43 @@ pub fn run(w: &AutofocusWorkload, params: RefCpuParams) -> AutofocusRefRun {
     }
 
     let best = best_shift(&sweep);
-    AutofocusRefRun {
+    MappingRun {
         record: cpu.report("Autofocus / Intel i7 model, 1 core @ 2.67 GHz"),
-        sweep,
-        best,
+        image: None,
+        sweep: Some(sweep),
+        best: Some(best),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness_impls::run_registered;
+    use sim_harness::Workload;
+
+    fn paper() -> MappingRun {
+        run_registered(
+            "autofocus_ref",
+            "refcpu",
+            Workload::Autofocus(AutofocusWorkload::paper()),
+        )
+    }
 
     #[test]
     fn recovers_the_injected_path_error() {
         let w = AutofocusWorkload::paper();
-        let r = run(&w, params());
+        let best = paper().best.unwrap();
         assert!(
-            (r.best.0 - w.true_shift).abs() <= 0.15,
+            (best.0 - w.true_shift).abs() <= 0.15,
             "found {} expected {}",
-            r.best.0,
+            best.0,
             w.true_shift
         );
     }
 
     #[test]
     fn compute_bound_not_memory_bound() {
-        let w = AutofocusWorkload::paper();
-        let r = run(&w, params());
+        let r = paper();
         let stalls = r.record.metric("mem_stall_fraction").unwrap();
         assert!(
             stalls < 0.05,
@@ -102,7 +100,7 @@ mod tests {
         // should land within ~2x of that — it is an architecture model,
         // not a fit.
         let w = AutofocusWorkload::paper();
-        let r = run(&w, params());
+        let r = paper();
         let px_per_s = w.pixels() as f64 / r.record.elapsed.seconds();
         assert!(
             (8_000.0..80_000.0).contains(&px_per_s),
@@ -113,7 +111,7 @@ mod tests {
     #[test]
     fn sweep_length_matches_hypotheses() {
         let w = AutofocusWorkload::small();
-        let r = run(&w, params());
-        assert_eq!(r.sweep.len(), w.hypotheses);
+        let r = run(&w, RefCpuParams::default(), &RunContext::plain());
+        assert_eq!(r.sweep.unwrap().len(), w.hypotheses);
     }
 }

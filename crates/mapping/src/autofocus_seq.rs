@@ -6,50 +6,30 @@
 //! the reference CPU needs. The paper measures 0.8x the i7 throughput
 //! at 1/2.67 the clock.
 
-use desim::{OpCounts, RunRecord};
+use desim::OpCounts;
 use epiphany::{Chip, EpiphanyParams};
 use memsim::GlobalAddr;
 use sar_core::autofocus::{best_shift, focus_criterion};
+use sim_harness::{MappingRun, RunContext};
 
 use crate::layout::BANK_CHILD_A;
 use crate::workloads::AutofocusWorkload;
 
 /// Dual-issue pairing efficiency for this kernel: the hand-scheduled
-/// interpolation loop pairs FPU ops with its loads/stores well.
+/// interpolation loop pairs FPU ops with its loads/stores well. The
+/// registry's three autofocus Epiphany mappings apply it on top of the
+/// platform's parameters.
 pub const AUTOFOCUS_PAIRING: f64 = 0.9;
 
-/// Epiphany parameters specialised to this kernel.
-pub fn params() -> EpiphanyParams {
-    EpiphanyParams {
-        pairing_efficiency: AUTOFOCUS_PAIRING,
-        ..EpiphanyParams::default()
-    }
-}
-
-/// Outcome of the sequential Epiphany run.
-pub struct AutofocusSeqRun {
-    /// Machine record (one phase per hypothesis).
-    pub record: RunRecord,
-    /// `(shift, criterion)` per hypothesis.
-    pub sweep: Vec<(f32, f32)>,
-    /// The winning compensation.
-    pub best: (f32, f32),
-}
-
-/// Execute the autofocus workload on one core of the Epiphany model.
-pub fn run(w: &AutofocusWorkload, params: EpiphanyParams) -> AutofocusSeqRun {
-    run_traced(w, params, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline: the chip emits its spans into
-/// `tracer`.
-pub fn run_traced(
-    w: &AutofocusWorkload,
-    params: EpiphanyParams,
-    tracer: desim::trace::Tracer,
-) -> AutofocusSeqRun {
+/// Execute the autofocus workload on one core of the Epiphany model:
+/// one phase per hypothesis, the `(shift, criterion)` sweep and the
+/// winning compensation. `params` is used as given — the kernel's
+/// pairing specialisation is the registry's job. The chip emits its
+/// spans into `ctx.tracer`; the single-core port has no recovery
+/// story, so `ctx.faults` is ignored.
+pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, ctx: &RunContext) -> MappingRun {
     let mut chip = Chip::from_params(params);
-    chip.set_tracer(tracer);
+    chip.set_tracer(ctx.tracer.clone());
     let core = 0usize;
     let mut counts = OpCounts::default();
     let mut charged = OpCounts::default();
@@ -78,23 +58,25 @@ pub fn run_traced(
     }
 
     let best = best_shift(&sweep);
-    AutofocusSeqRun {
+    MappingRun {
         record: chip.report("Autofocus / Epiphany, 1 core @ 1 GHz (sequential)", 1),
-        sweep,
-        best,
+        image: None,
+        sweep: Some(sweep),
+        best: Some(best),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autofocus_ref;
+    use crate::harness_impls::run_registered;
+    use sim_harness::Workload;
 
     #[test]
     fn same_criterion_values_as_the_reference_machine() {
         let w = AutofocusWorkload::small();
-        let a = run(&w, params());
-        let b = autofocus_ref::run(&w, autofocus_ref::params());
+        let a = run_registered("autofocus_seq", "epiphany", Workload::Autofocus(w.clone()));
+        let b = run_registered("autofocus_ref", "refcpu", Workload::Autofocus(w));
         assert_eq!(a.sweep, b.sweep, "machines must compute identical numerics");
         assert_eq!(a.best, b.best);
     }
@@ -104,8 +86,8 @@ mod tests {
         // Table I: Epiphany sequential reaches 0.8x the i7 throughput.
         // Accept a generous band around that shape.
         let w = AutofocusWorkload::paper();
-        let seq = run(&w, params());
-        let reference = autofocus_ref::run(&w, autofocus_ref::params());
+        let seq = run_registered("autofocus_seq", "epiphany", Workload::Autofocus(w.clone()));
+        let reference = run_registered("autofocus_ref", "refcpu", Workload::Autofocus(w));
         let ratio = reference.record.elapsed.seconds() / seq.record.elapsed.seconds();
         assert!(
             (0.4..1.2).contains(&ratio),
@@ -116,7 +98,7 @@ mod tests {
     #[test]
     fn no_external_reads_after_the_initial_dma() {
         let w = AutofocusWorkload::paper();
-        let r = run(&w, params());
+        let r = run(&w, EpiphanyParams::default(), &RunContext::plain());
         assert_eq!(
             r.record.counters.get("ext_read"),
             0,

@@ -8,27 +8,22 @@
 //! work — the mechanism the paper credits for the i7's 2.8x advantage
 //! over a single Epiphany core on this kernel.
 
-use desim::{OpCounts, RunRecord};
+use desim::OpCounts;
 use refcpu::{RefCpu, RefCpuParams};
 use sar_core::ffbp::grid::Subaperture;
 use sar_core::ffbp::interp::nearest_indices;
 use sar_core::ffbp::merge::combine_sample_with_lookup;
 use sar_core::ffbp::pipeline::stage0;
-use sar_core::image::ComplexImage;
+use sim_harness::{MappingRun, RunContext};
 
 use crate::layout::ExternalLayout;
 use crate::workloads::FfbpWorkload;
 
-/// Outcome of the reference run.
-pub struct FfbpRefRun {
-    /// Machine record (one phase per merge iteration).
-    pub record: RunRecord,
-    /// The formed image (identical to the other machines' output).
-    pub image: ComplexImage,
-}
-
-/// Execute the FFBP workload on the reference CPU model.
-pub fn run(w: &FfbpWorkload, params: RefCpuParams) -> FfbpRefRun {
+/// Execute the FFBP workload on the reference CPU model: one phase per
+/// merge iteration, and the formed image (identical to the other
+/// machines' output). The model has no tracer and no recovery story,
+/// so `_ctx` is unused — the harness replays the phases as spans.
+pub fn run(w: &FfbpWorkload, params: RefCpuParams, _ctx: &RunContext) -> MappingRun {
     let geom = &w.geom;
     let layout = ExternalLayout::new(geom.num_pulses as u32, geom.num_bins as u32);
     let mut cpu = RefCpu::new(params);
@@ -96,9 +91,11 @@ pub fn run(w: &FfbpWorkload, params: RefCpuParams) -> FfbpRefRun {
     }
 
     let full = stage.into_iter().next().expect("non-empty stage");
-    FfbpRefRun {
+    MappingRun {
         record: cpu.report("FFBP / Intel i7 model, 1 core @ 2.67 GHz"),
-        image: full.data,
+        image: Some(full.data),
+        sweep: None,
+        best: None,
     }
 }
 
@@ -110,15 +107,15 @@ mod tests {
     #[test]
     fn produces_the_same_image_as_the_plain_algorithm() {
         let w = FfbpWorkload::small();
-        let machine = run(&w, RefCpuParams::default());
+        let machine = run(&w, RefCpuParams::default(), &RunContext::plain());
         let plain = ffbp(&w.data, &w.geom, &w.config);
-        assert_eq!(machine.image.as_slice(), plain.image.as_slice());
+        assert_eq!(machine.image.unwrap().as_slice(), plain.image.as_slice());
     }
 
     #[test]
     fn time_scales_with_workload() {
         let w = FfbpWorkload::small();
-        let r = run(&w, RefCpuParams::default());
+        let r = run(&w, RefCpuParams::default(), &RunContext::plain());
         // 64 x 129 x 6 merges ~ 50 K samples; must take > 1 us and less
         // than a second on a 2.67 GHz model.
         assert!(r.record.millis() > 0.001);
@@ -128,7 +125,7 @@ mod tests {
     #[test]
     fn mostly_compute_bound_thanks_to_prefetch() {
         let w = FfbpWorkload::small();
-        let r = run(&w, RefCpuParams::default());
+        let r = run(&w, RefCpuParams::default(), &RunContext::plain());
         assert!(
             r.record.metric("mem_stall_fraction").unwrap() < 0.5,
             "prefetched streaming should not stall > 50%: {}",
@@ -139,8 +136,8 @@ mod tests {
     #[test]
     fn disabling_prefetch_slows_the_run() {
         let w = FfbpWorkload::small();
-        let with = run(&w, RefCpuParams::default());
-        let without = run(&w, RefCpuParams::without_prefetch());
+        let with = run(&w, RefCpuParams::default(), &RunContext::plain());
+        let without = run(&w, RefCpuParams::without_prefetch(), &RunContext::plain());
         assert!(
             without.record.millis() > with.record.millis(),
             "no-prefetch {} ms should exceed prefetch {} ms",

@@ -7,41 +7,26 @@
 //! despite executing fewer instructions). Result rows are posted back
 //! with non-stalling writes.
 
-use desim::{OpCounts, RunRecord};
+use desim::OpCounts;
 use epiphany::{Chip, EpiphanyParams};
 use sar_core::ffbp::grid::Subaperture;
 use sar_core::ffbp::interp::nearest_indices;
 use sar_core::ffbp::merge::combine_sample_with_lookup;
 use sar_core::ffbp::pipeline::stage0;
-use sar_core::image::ComplexImage;
+use sim_harness::{MappingRun, RunContext};
 
 use crate::layout::ExternalLayout;
 use crate::workloads::FfbpWorkload;
 
-/// Outcome of the sequential Epiphany run.
-pub struct FfbpSeqRun {
-    /// Machine record (one phase per merge iteration).
-    pub record: RunRecord,
-    /// The formed image.
-    pub image: ComplexImage,
-}
-
-/// Execute the FFBP workload on one core of the Epiphany model.
-pub fn run(w: &FfbpWorkload, params: EpiphanyParams) -> FfbpSeqRun {
-    run_traced(w, params, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline: the chip emits its spans into
-/// `tracer`.
-pub fn run_traced(
-    w: &FfbpWorkload,
-    params: EpiphanyParams,
-    tracer: desim::trace::Tracer,
-) -> FfbpSeqRun {
+/// Execute the FFBP workload on one core of the Epiphany model: one
+/// phase per merge iteration, and the formed image. The chip emits its
+/// spans into `ctx.tracer`; the naive port has no recovery story, so
+/// `ctx.faults` is ignored.
+pub fn run(w: &FfbpWorkload, params: EpiphanyParams, ctx: &RunContext) -> MappingRun {
     let geom = &w.geom;
     let layout = ExternalLayout::new(geom.num_pulses as u32, geom.num_bins as u32);
     let mut chip = Chip::from_params(params);
-    chip.set_tracer(tracer);
+    chip.set_tracer(ctx.tracer.clone());
     let core = 0usize;
     let mut counts = OpCounts::default();
     let mut charged = OpCounts::default();
@@ -120,9 +105,11 @@ pub fn run_traced(
     }
 
     let full = stage.into_iter().next().expect("non-empty stage");
-    FfbpSeqRun {
+    MappingRun {
         record: chip.report("FFBP / Epiphany, 1 core @ 1 GHz (sequential)", 1),
-        image: full.data,
+        image: Some(full.data),
+        sweep: None,
+        best: None,
     }
 }
 
@@ -136,9 +123,9 @@ mod tests {
     #[test]
     fn image_matches_the_plain_algorithm() {
         let w = FfbpWorkload::small();
-        let machine = run(&w, EpiphanyParams::default());
+        let machine = run(&w, EpiphanyParams::default(), &RunContext::plain());
         let plain = ffbp(&w.data, &w.geom, &w.config);
-        assert_eq!(machine.image.as_slice(), plain.image.as_slice());
+        assert_eq!(machine.image.unwrap().as_slice(), plain.image.as_slice());
     }
 
     #[test]
@@ -146,8 +133,8 @@ mod tests {
         // The paper's headline shape for this row: 0.36x the i7 —
         // blocking uncached SDRAM reads dominate.
         let w = FfbpWorkload::small();
-        let seq = run(&w, EpiphanyParams::default());
-        let reference = ffbp_ref::run(&w, RefCpuParams::default());
+        let seq = run(&w, EpiphanyParams::default(), &RunContext::plain());
+        let reference = ffbp_ref::run(&w, RefCpuParams::default(), &RunContext::plain());
         let speedup = reference.record.elapsed.seconds() / seq.record.elapsed.seconds();
         assert!(
             speedup < 0.9,
@@ -158,7 +145,7 @@ mod tests {
     #[test]
     fn external_reads_dominate_the_counters() {
         let w = FfbpWorkload::small();
-        let r = run(&w, EpiphanyParams::default());
+        let r = run(&w, EpiphanyParams::default(), &RunContext::plain());
         let reads = r.record.counters.get("ext_read");
         // Two reads per output sample, minus out-of-swath skips.
         let samples = w.pixels() * u64::from(w.geom.merge_iterations());

@@ -14,16 +14,15 @@
 //! writes. This is exactly the behaviour the paper describes — and the
 //! reason the 16-core speedup saturates at ~12x over one core.
 
-use desim::{Cycle, OpCounts, RunRecord};
+use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
-use faultsim::FaultState;
 use sar_core::ffbp::grid::Subaperture;
 use sar_core::ffbp::interp::nearest_indices;
 use sar_core::ffbp::merge::combine_sample_with_lookup;
 use sar_core::ffbp::pipeline::stage0;
 use sar_core::geometry::merge_geometry;
-use sar_core::image::ComplexImage;
+use sim_harness::{MappingRun, RunContext};
 
 use crate::layout::{ExternalLayout, BANK_CHILD_A, BANK_CHILD_B};
 use crate::workloads::FfbpWorkload;
@@ -52,53 +51,30 @@ impl Default for SpmdOptions {
     }
 }
 
-/// Outcome of the SPMD run.
-pub struct FfbpSpmdRun {
-    /// Machine record (one phase per merge iteration, carrying that
-    /// iteration's time, energy, eLink utilisation and hit/miss split).
-    pub record: RunRecord,
-    /// The formed image.
-    pub image: ComplexImage,
-    /// Contributing-element reads served from the prefetched banks.
-    pub local_hits: u64,
-    /// Contributing-element reads that went to external memory.
-    pub external_misses: u64,
-}
-
-/// Execute the FFBP workload on the Epiphany model with `opts`.
-pub fn run(w: &FfbpWorkload, params: EpiphanyParams, opts: SpmdOptions) -> FfbpSpmdRun {
-    run_traced(w, params, opts, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline: the chip emits its spans into
-/// `tracer`.
-pub fn run_traced(
+/// Execute the FFBP workload on the Epiphany model with `opts`: one
+/// phase per merge iteration (carrying that iteration's time, energy,
+/// eLink utilisation and hit/miss split), the formed image, and the
+/// run-level `local_hits` / `external_misses` metrics (contributing
+/// reads served from the prefetched banks vs from external memory).
+/// The chip emits its spans into `ctx.tracer`.
+///
+/// Under `ctx.faults` the recovery story is checkpoint/restart at
+/// merge-iteration granularity: every iteration's inputs live in SDRAM
+/// (the previous stage's output), so a core that halts mid-iteration
+/// is detected at the end-of-merge health check, dropped from the
+/// active set, and the whole iteration is redone on the survivors —
+/// the paper's 16-core mapping degrades to a 15-core one instead of
+/// hanging. The redone work is accounted as recovery cycles/energy in
+/// the fault record; the formed image is bit-identical to the
+/// fault-free run because the restart recomputes the same output
+/// slice values.
+pub fn run(
     w: &FfbpWorkload,
     params: EpiphanyParams,
     opts: SpmdOptions,
-    tracer: desim::trace::Tracer,
-) -> FfbpSpmdRun {
-    run_faulted(w, params, opts, tracer, FaultState::disabled())
-}
-
-/// [`run_traced`] under a fault schedule. The recovery story is
-/// checkpoint/restart at merge-iteration granularity: every
-/// iteration's inputs live in SDRAM (the previous stage's output), so
-/// a core that halts mid-iteration is detected at the end-of-merge
-/// health check, dropped from the active set, and the whole iteration
-/// is redone on the survivors — the paper's 16-core mapping degrades
-/// to a 15-core one instead of hanging. The redone work is accounted
-/// as recovery cycles/energy in the fault record; the formed image is
-/// bit-identical to the fault-free run because the restart recomputes
-/// the same output slice values. With `faults` disabled this is
-/// exactly [`run_traced`].
-pub fn run_faulted(
-    w: &FfbpWorkload,
-    params: EpiphanyParams,
-    opts: SpmdOptions,
-    tracer: desim::trace::Tracer,
-    faults: FaultState,
-) -> FfbpSpmdRun {
+    ctx: &RunContext,
+) -> MappingRun {
+    let faults = &ctx.faults;
     let geom = &w.geom;
     let n_cores = opts.cores.unwrap_or_else(|| params.cores());
     // The platform's declared mesh, unless the ablation asks for more
@@ -108,7 +84,7 @@ pub fn run_faulted(
     } else {
         Chip::with_cores(params, n_cores)
     };
-    chip.set_tracer(tracer);
+    chip.set_tracer(ctx.tracer.clone());
     chip.set_faults(faults.clone());
     assert!(
         n_cores <= chip.cores(),
@@ -310,11 +286,11 @@ pub fn run_faulted(
     );
     record.set_metric("local_hits", local_hits as f64);
     record.set_metric("external_misses", external_misses as f64);
-    FfbpSpmdRun {
+    MappingRun {
         record,
-        image: full.data,
-        local_hits,
-        external_misses,
+        image: Some(full.data),
+        sweep: None,
+        best: None,
     }
 }
 
@@ -322,14 +298,28 @@ pub fn run_faulted(
 mod tests {
     use super::*;
     use crate::ffbp_seq;
+    use faultsim::FaultState;
     use sar_core::ffbp::ffbp;
+
+    fn plain(w: &FfbpWorkload, params: EpiphanyParams, opts: SpmdOptions) -> MappingRun {
+        run(w, params, opts, &RunContext::plain())
+    }
+
+    fn metric(r: &MappingRun, key: &str) -> f64 {
+        r.record
+            .metric(key)
+            .expect("the driver sets its read split")
+    }
 
     #[test]
     fn image_matches_the_plain_algorithm() {
         let w = FfbpWorkload::small();
-        let machine = run(&w, EpiphanyParams::default(), SpmdOptions::default());
-        let plain = ffbp(&w.data, &w.geom, &w.config);
-        assert_eq!(machine.image.as_slice(), plain.image.as_slice());
+        let machine = plain(&w, EpiphanyParams::default(), SpmdOptions::default());
+        let reference = ffbp(&w.data, &w.geom, &w.config);
+        assert_eq!(
+            machine.image.unwrap().as_slice(),
+            reference.image.as_slice()
+        );
     }
 
     #[test]
@@ -341,8 +331,8 @@ mod tests {
         // covered. The paper-scale run lands at ~12x (Table I: 11.7x)
         // because later iterations spill to external memory.
         let w = FfbpWorkload::small();
-        let par = run(&w, EpiphanyParams::default(), SpmdOptions::default());
-        let seq = ffbp_seq::run(&w, EpiphanyParams::default());
+        let par = plain(&w, EpiphanyParams::default(), SpmdOptions::default());
+        let seq = ffbp_seq::run(&w, EpiphanyParams::default(), &RunContext::plain());
         let speedup = seq.record.elapsed.seconds() / par.record.elapsed.seconds();
         assert!(
             speedup > 4.0,
@@ -364,12 +354,13 @@ mod tests {
         let scene = sar_core::scene::Scene::single_target(geom);
         w.geom = geom;
         w.data = sar_core::scene::simulate_compressed_data(&scene, 0.0, 1);
-        let r = run(&w, EpiphanyParams::default(), SpmdOptions::default());
+        let r = plain(&w, EpiphanyParams::default(), SpmdOptions::default());
         assert_eq!(
-            r.external_misses, 0,
+            metric(&r, "external_misses"),
+            0.0,
             "single-pulse children have one beam: prefetch must cover everything"
         );
-        assert!(r.local_hits > 0);
+        assert!(metric(&r, "local_hits") > 0.0);
     }
 
     #[test]
@@ -390,26 +381,25 @@ mod tests {
             data: sar_core::scene::simulate_compressed_data(&scene, 0.0, 3),
             config: Default::default(),
         };
-        let r = run(&w, EpiphanyParams::default(), SpmdOptions::default());
+        let r = plain(&w, EpiphanyParams::default(), SpmdOptions::default());
+        let (hits, misses) = (metric(&r, "local_hits"), metric(&r, "external_misses"));
         assert!(
-            r.external_misses > 0,
+            misses > 0.0,
             "deep merges must spill outside the two prefetched beams"
         );
         // But prefetch still covers the majority overall.
-        let total = r.local_hits + r.external_misses;
+        let total = hits + misses;
         assert!(
-            r.local_hits * 2 > total,
-            "prefetch should cover most accesses: {} of {}",
-            r.local_hits,
-            total
+            hits * 2.0 > total,
+            "prefetch should cover most accesses: {hits} of {total}"
         );
     }
 
     #[test]
     fn disabling_prefetch_hurts() {
         let w = FfbpWorkload::small();
-        let with = run(&w, EpiphanyParams::default(), SpmdOptions::default());
-        let without = run(
+        let with = plain(&w, EpiphanyParams::default(), SpmdOptions::default());
+        let without = plain(
             &w,
             EpiphanyParams::default(),
             SpmdOptions {
@@ -418,14 +408,14 @@ mod tests {
             },
         );
         assert!(without.record.elapsed.seconds() > with.record.elapsed.seconds());
-        assert_eq!(without.local_hits, 0);
+        assert_eq!(metric(&without, "local_hits"), 0.0);
     }
 
     #[test]
     fn core_halt_degrades_to_fifteen_cores_with_an_identical_image() {
         use faultsim::{FaultEvent, FaultPlan};
         let w = FfbpWorkload::small();
-        let clean = run(&w, EpiphanyParams::default(), SpmdOptions::default());
+        let clean = plain(&w, EpiphanyParams::default(), SpmdOptions::default());
         let plan = FaultPlan::from_events(
             11,
             vec![FaultEvent::CoreHalt {
@@ -434,16 +424,15 @@ mod tests {
             }],
         );
         let faults = FaultState::from_plan(&plan);
-        let r = run_faulted(
+        let r = run(
             &w,
             EpiphanyParams::default(),
             SpmdOptions::default(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
+            &RunContext::plain().with_faults(faults.clone()),
         );
         assert_eq!(
-            r.image.as_slice(),
-            clean.image.as_slice(),
+            r.image.as_ref().unwrap().as_slice(),
+            clean.image.as_ref().unwrap().as_slice(),
             "checkpoint/restart must reproduce the fault-free image bit-for-bit"
         );
         let totals = faults.totals();
@@ -473,33 +462,32 @@ mod tests {
             }],
         );
         let go = || {
-            run_faulted(
+            run(
                 &w,
                 EpiphanyParams::default(),
                 SpmdOptions::default(),
-                desim::trace::Tracer::disabled(),
-                FaultState::from_plan(&plan),
+                &RunContext::plain().with_faults(FaultState::from_plan(&plan)),
             )
         };
         let (a, b) = (go(), go());
         assert_eq!(a.record.elapsed.cycles, b.record.elapsed.cycles);
         assert_eq!(a.record.faults, b.record.faults);
-        assert_eq!(a.image.as_slice(), b.image.as_slice());
+        assert_eq!(a.image.unwrap().as_slice(), b.image.unwrap().as_slice());
     }
 
     #[test]
     fn e64_forms_the_same_image_and_runs_no_slower() {
         let w = FfbpWorkload::small();
-        let e16 = run(&w, EpiphanyParams::default(), SpmdOptions::default());
-        let e64 = run(&w, EpiphanyParams::e64(), SpmdOptions::default());
+        let e16 = plain(&w, EpiphanyParams::default(), SpmdOptions::default());
+        let e64 = plain(&w, EpiphanyParams::e64(), SpmdOptions::default());
         assert!(
             e64.record.label.contains("64 cores"),
             "{}",
             e64.record.label
         );
         assert_eq!(
-            e64.image.as_slice(),
-            e16.image.as_slice(),
+            e64.image.unwrap().as_slice(),
+            e16.image.unwrap().as_slice(),
             "the formed image is independent of the mesh"
         );
         assert!(e64.record.elapsed.seconds() <= e16.record.elapsed.seconds());
@@ -511,8 +499,8 @@ mod tests {
         // paper's 16-core slice assignment onto the E64's 4x4 corner
         // subgrid reproduces the E16G3 image bit for bit.
         let w = FfbpWorkload::small();
-        let e16 = run(&w, EpiphanyParams::default(), SpmdOptions::default());
-        let sub = run(
+        let e16 = plain(&w, EpiphanyParams::default(), SpmdOptions::default());
+        let sub = plain(
             &w,
             EpiphanyParams::e64(),
             SpmdOptions {
@@ -520,14 +508,14 @@ mod tests {
                 ..SpmdOptions::default()
             },
         );
-        assert_eq!(sub.image.as_slice(), e16.image.as_slice());
         assert!(sub.record.label.contains("16 cores"));
+        assert_eq!(sub.image.unwrap().as_slice(), e16.image.unwrap().as_slice());
     }
 
     #[test]
     fn fewer_cores_run_longer() {
         let w = FfbpWorkload::small();
-        let four = run(
+        let four = plain(
             &w,
             EpiphanyParams::default(),
             SpmdOptions {
@@ -535,7 +523,7 @@ mod tests {
                 ..SpmdOptions::default()
             },
         );
-        let sixteen = run(&w, EpiphanyParams::default(), SpmdOptions::default());
+        let sixteen = plain(&w, EpiphanyParams::default(), SpmdOptions::default());
         assert!(four.record.elapsed.seconds() > sixteen.record.elapsed.seconds());
     }
 }

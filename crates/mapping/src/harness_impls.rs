@@ -3,11 +3,11 @@
 //! registry the unified runner resolves `--mapping` names against.
 //!
 //! Kernel-specialised parameter overrides (the autofocus IPC and
-//! pairing figures) are applied here, on top of whatever parameters the
-//! platform supplies — so a record produced through the harness prices
-//! exactly like one from the direct driver call.
+//! pairing figures) are applied here and nowhere else, on top of
+//! whatever parameters the platform supplies — callers vary a machine
+//! through its platform (`EpiphanyPlatform::with_params`,
+//! `RefCpuPlatform { params }`) and the registry specialises it.
 
-use desim::trace::Tracer;
 use sim_harness::{
     HarnessError, Mapping, MappingRun, Platform, PlatformKind, ProgramModel, RunContext, Workload,
 };
@@ -61,7 +61,7 @@ impl Mapping for FfbpRefMapping {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        _tracer: &Tracer,
+        ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
         let w = workload
             .ffbp()
@@ -69,13 +69,7 @@ impl Mapping for FfbpRefMapping {
         let params = platform
             .refcpu_params()
             .ok_or_else(|| unsupported(self, platform))?;
-        let r = ffbp_ref::run(w, params);
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
+        Ok(ffbp_ref::run(w, params, ctx))
     }
     fn program_model(&self, workload: &Workload, _platform: &dyn Platform) -> Option<ProgramModel> {
         workload.ffbp().map(crate::program_model::ffbp_ref_model)
@@ -99,7 +93,7 @@ impl Mapping for FfbpSeqMapping {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
+        ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
         let w = workload
             .ffbp()
@@ -107,13 +101,7 @@ impl Mapping for FfbpSeqMapping {
         let params = platform
             .epiphany_params()
             .ok_or_else(|| unsupported(self, platform))?;
-        let r = ffbp_seq::run_traced(w, params, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
+        Ok(ffbp_seq::run(w, params, ctx))
     }
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
         workload
@@ -143,26 +131,6 @@ impl Mapping for FfbpSpmdMapping {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .ffbp()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        let r = ffbp_spmd::run_traced(w, params, self.opts, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
-    }
-    fn execute_ctx(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
         ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
         let w = workload
@@ -171,14 +139,7 @@ impl Mapping for FfbpSpmdMapping {
         let params = platform
             .epiphany_params()
             .ok_or_else(|| unsupported(self, platform))?;
-        let r =
-            ffbp_spmd::run_faulted(w, params, self.opts, ctx.tracer.clone(), ctx.faults.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
+        Ok(ffbp_spmd::run(w, params, self.opts, ctx))
     }
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
         workload
@@ -204,7 +165,7 @@ impl Mapping for FfbpHostMapping {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        _tracer: &Tracer,
+        _ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
         let w = workload
             .ffbp()
@@ -244,7 +205,7 @@ impl Mapping for AutofocusRefMapping {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        _tracer: &Tracer,
+        ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
         let w = workload
             .autofocus()
@@ -253,13 +214,7 @@ impl Mapping for AutofocusRefMapping {
             .refcpu_params()
             .ok_or_else(|| unsupported(self, platform))?;
         params.sustained_ipc = AUTOFOCUS_SUSTAINED_IPC;
-        let r = autofocus_ref::run(w, params);
-        Ok(MappingRun {
-            record: r.record,
-            image: None,
-            sweep: Some(r.sweep),
-            best: Some(r.best),
-        })
+        Ok(autofocus_ref::run(w, params, ctx))
     }
     fn program_model(&self, workload: &Workload, _platform: &dyn Platform) -> Option<ProgramModel> {
         workload
@@ -285,7 +240,7 @@ impl Mapping for AutofocusSeqMapping {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
+        ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
         let w = workload
             .autofocus()
@@ -294,13 +249,7 @@ impl Mapping for AutofocusSeqMapping {
             .epiphany_params()
             .ok_or_else(|| unsupported(self, platform))?;
         params.pairing_efficiency = AUTOFOCUS_PAIRING;
-        let r = autofocus_seq::run_traced(w, params, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: None,
-            sweep: Some(r.sweep),
-            best: Some(r.best),
-        })
+        Ok(autofocus_seq::run(w, params, ctx))
     }
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
         workload
@@ -337,27 +286,6 @@ impl Mapping for AutofocusMpmdMapping {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .autofocus()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let mut params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        params.pairing_efficiency = AUTOFOCUS_PAIRING;
-        let r = autofocus_mpmd::run_traced(w, params, self.place, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: None,
-            sweep: Some(r.sweep),
-            best: Some(r.best),
-        })
-    }
-    fn execute_ctx(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
         ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
         let w = workload
@@ -367,19 +295,7 @@ impl Mapping for AutofocusMpmdMapping {
             .epiphany_params()
             .ok_or_else(|| unsupported(self, platform))?;
         params.pairing_efficiency = AUTOFOCUS_PAIRING;
-        let r = autofocus_mpmd::run_faulted(
-            w,
-            params,
-            ctx.placement.unwrap_or(self.place),
-            ctx.tracer.clone(),
-            ctx.faults.clone(),
-        );
-        Ok(MappingRun {
-            record: r.record,
-            image: None,
-            sweep: Some(r.sweep),
-            best: Some(r.best),
-        })
+        Ok(autofocus_mpmd::run(w, params, self.place, ctx))
     }
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
         workload.autofocus().map(|w| {
@@ -416,7 +332,7 @@ impl Mapping for AutofocusNetMapping {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
+        ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
         let w = workload
             .autofocus()
@@ -425,28 +341,7 @@ impl Mapping for AutofocusNetMapping {
             .epiphany_params()
             .ok_or_else(|| unsupported(self, platform))?;
         params.pairing_efficiency = AUTOFOCUS_PAIRING;
-        let r = autofocus_net::run_traced(w, params, self.place, tracer.clone());
-        let mut run = MappingRun {
-            record: r.record,
-            image: None,
-            sweep: Some(r.sweep),
-            best: Some(r.best),
-        };
-        run.record.set_metric("firings", r.firings as f64);
-        Ok(run)
-    }
-    fn execute_ctx(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        ctx: &RunContext,
-    ) -> Result<MappingRun, HarnessError> {
-        // The process network has no fault-recovery story, so only the
-        // tracer and the placement override flow through.
-        let placed = AutofocusNetMapping {
-            place: ctx.placement.unwrap_or(self.place),
-        };
-        placed.execute(workload, platform, &ctx.tracer)
+        Ok(autofocus_net::run(w, params, self.place, ctx))
     }
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
         workload.autofocus().map(|w| {
@@ -472,7 +367,7 @@ impl Mapping for RdaSeqMapping {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
+        ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
         let w = workload
             .rda()
@@ -480,13 +375,7 @@ impl Mapping for RdaSeqMapping {
         let params = platform
             .epiphany_params()
             .ok_or_else(|| unsupported(self, platform))?;
-        let r = rda_seq::run_traced(w, params, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
+        Ok(rda_seq::run(w, params, ctx))
     }
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
         workload
@@ -516,26 +405,6 @@ impl Mapping for RdaSpmdMapping {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .rda()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        let r = rda_spmd::run_traced(w, params, self.opts, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
-    }
-    fn execute_ctx(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
         ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
         let w = workload
@@ -544,13 +413,7 @@ impl Mapping for RdaSpmdMapping {
         let params = platform
             .epiphany_params()
             .ok_or_else(|| unsupported(self, platform))?;
-        let r = rda_spmd::run_faulted(w, params, self.opts, ctx.tracer.clone(), ctx.faults.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
+        Ok(rda_spmd::run(w, params, self.opts, ctx))
     }
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
         workload
@@ -590,6 +453,15 @@ pub fn mapping_named_placed(name: &str, place: Placement) -> Option<Box<dyn Mapp
         "autofocus_net" => Some(Box::new(AutofocusNetMapping { place })),
         _ => mapping_named(name),
     }
+}
+
+/// Run a registered pair by name through the harness — the test
+/// suites' shorthand for "this pair, priced as the runner prices it".
+#[cfg(test)]
+pub(crate) fn run_registered(mapping: &str, platform: &str, workload: Workload) -> MappingRun {
+    let m = mapping_named(mapping).expect("registered mapping");
+    let p = sim_harness::platform_named(platform).expect("registered platform");
+    sim_harness::run(m.as_ref(), &workload, p.as_ref()).expect("supported pair")
 }
 
 #[cfg(test)]
@@ -648,19 +520,22 @@ mod tests {
     }
 
     #[test]
-    fn specialised_params_flow_through_the_harness() {
-        // Running through the harness must price identically to the
-        // direct driver call with its kernel-specialised params().
+    fn the_registry_applies_the_kernel_specialisation() {
+        // The driver prices `params` as given; the registered pair adds
+        // the autofocus pairing override on top of the platform's.
+        use epiphany::EpiphanyParams;
+        use sim_harness::RunContext;
         let w = crate::workloads::AutofocusWorkload::small();
-        let direct = crate::autofocus_seq::run(&w, crate::autofocus_seq::params());
-        let platform = platform_named("epiphany").unwrap();
-        let via = run(
-            &AutofocusSeqMapping,
-            &Workload::Autofocus(w),
-            platform.as_ref(),
-        )
-        .unwrap();
+        let via = run_registered("autofocus_seq", "epiphany", Workload::Autofocus(w.clone()));
+        let specialised = EpiphanyParams {
+            pairing_efficiency: AUTOFOCUS_PAIRING,
+            ..EpiphanyParams::default()
+        };
+        let ctx = RunContext::plain();
+        let direct = crate::autofocus_seq::run(&w, specialised, &ctx);
+        let bare = crate::autofocus_seq::run(&w, EpiphanyParams::default(), &ctx);
         assert_eq!(via.record.elapsed.cycles, direct.record.elapsed.cycles);
+        assert_ne!(via.record.elapsed.cycles, bare.record.elapsed.cycles);
     }
 
     #[test]

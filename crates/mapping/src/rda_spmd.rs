@@ -27,10 +27,9 @@
 //! phase redone on the survivors — bit-identical output, with the
 //! redone work accounted as recovery cycles/energy.
 
-use desim::{Cycle, OpCounts, RunRecord};
+use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
-use faultsim::FaultState;
 use sar_core::complex::c32;
 use sar_core::image::ComplexImage;
 use sar_core::rda::{
@@ -38,6 +37,7 @@ use sar_core::rda::{
     rcmc_shift,
 };
 use sar_core::signal::{lfm_chirp, MatchedFilter};
+use sim_harness::{MappingRun, RunContext};
 
 use crate::layout::{RdaLayout, BANK_CHILD_A, BANK_CHILD_B, PIXEL_BYTES};
 use crate::workloads::RdaWorkload;
@@ -55,14 +55,6 @@ pub struct RdaSpmdOptions {
     pub cores: Option<usize>,
 }
 
-/// Outcome of the SPMD RDA run.
-pub struct RdaSpmdRun {
-    /// Machine record (one phase per pipeline stage).
-    pub record: RunRecord,
-    /// The focused image.
-    pub image: ComplexImage,
-}
-
 /// The local-transpose ledger for one `elems`-element tile (also used
 /// by the mapping's program model, so the declaration cannot drift
 /// from the driver).
@@ -75,30 +67,17 @@ pub fn transpose_ops(elems: u64) -> OpCounts {
     }
 }
 
-/// Execute the RDA workload on the Epiphany model with `opts`.
-pub fn run(w: &RdaWorkload, params: EpiphanyParams, opts: RdaSpmdOptions) -> RdaSpmdRun {
-    run_traced(w, params, opts, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline.
-pub fn run_traced(
+/// Execute the RDA workload on the Epiphany model with `opts`: one
+/// phase per pipeline stage and the focused image. The chip emits its
+/// spans into `ctx.tracer`; under `ctx.faults` the recovery story is
+/// checkpoint/restart at phase granularity (see the module docs).
+pub fn run(
     w: &RdaWorkload,
     params: EpiphanyParams,
     opts: RdaSpmdOptions,
-    tracer: desim::trace::Tracer,
-) -> RdaSpmdRun {
-    run_faulted(w, params, opts, tracer, FaultState::disabled())
-}
-
-/// [`run_traced`] under a fault schedule (checkpoint/restart at phase
-/// granularity — see the module docs).
-pub fn run_faulted(
-    w: &RdaWorkload,
-    params: EpiphanyParams,
-    opts: RdaSpmdOptions,
-    tracer: desim::trace::Tracer,
-    faults: FaultState,
-) -> RdaSpmdRun {
+    ctx: &RunContext,
+) -> MappingRun {
+    let faults = &ctx.faults;
     let geom = &w.geom;
     let n = geom.num_pulses;
     let bins = geom.num_bins;
@@ -109,7 +88,7 @@ pub fn run_faulted(
     } else {
         Chip::with_cores(params, n_cores)
     };
-    chip.set_tracer(tracer);
+    chip.set_tracer(ctx.tracer.clone());
     chip.set_faults(faults.clone());
     let bank_bytes = u64::from(params.sram.bank_bytes);
     let mut active: Vec<usize> = chip.subgrid_cores(n_cores);
@@ -320,12 +299,14 @@ pub fn run_faulted(
         }
     );
 
-    RdaSpmdRun {
+    MappingRun {
         record: chip.report(
             &format!("RDA / Epiphany, {n_cores} cores @ 1 GHz (SPMD)"),
             n_cores,
         ),
-        image,
+        image: Some(image),
+        sweep: None,
+        best: None,
     }
 }
 
@@ -333,31 +314,50 @@ pub fn run_faulted(
 mod tests {
     use super::*;
     use crate::rda_seq;
+    use faultsim::FaultState;
     use sar_core::rda::rda;
+
+    fn plain(w: &RdaWorkload, params: EpiphanyParams, opts: RdaSpmdOptions) -> MappingRun {
+        run(w, params, opts, &RunContext::plain())
+    }
+
+    fn faulted(w: &RdaWorkload, faults: FaultState) -> MappingRun {
+        let ctx = RunContext::plain().with_faults(faults);
+        run(
+            w,
+            EpiphanyParams::default(),
+            RdaSpmdOptions::default(),
+            &ctx,
+        )
+    }
+
+    fn image(r: &MappingRun) -> &ComplexImage {
+        r.image.as_ref().expect("RDA forms an image")
+    }
 
     #[test]
     fn image_matches_the_plain_algorithm_and_the_sequential_port() {
         let w = RdaWorkload::small();
-        let spmd = run(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
-        let plain = rda(&w.raw, &w.geom, &w.config);
-        let seq = rda_seq::run(&w, EpiphanyParams::default());
-        assert_eq!(spmd.image.as_slice(), plain.image.as_slice());
-        assert_eq!(spmd.image.as_slice(), seq.image.as_slice());
+        let spmd = plain(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
+        let reference = rda(&w.raw, &w.geom, &w.config);
+        let seq = rda_seq::run(&w, EpiphanyParams::default(), &RunContext::plain());
+        assert_eq!(image(&spmd).as_slice(), reference.image.as_slice());
+        assert_eq!(image(&spmd).as_slice(), image(&seq).as_slice());
     }
 
     #[test]
     fn e64_forms_the_same_image_and_runs_no_slower() {
         let w = RdaWorkload::small();
-        let e16 = run(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
-        let e64 = run(&w, EpiphanyParams::e64(), RdaSpmdOptions::default());
+        let e16 = plain(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
+        let e64 = plain(&w, EpiphanyParams::e64(), RdaSpmdOptions::default());
         assert!(
             e64.record.label.contains("64 cores"),
             "{}",
             e64.record.label
         );
         assert_eq!(
-            e64.image.as_slice(),
-            e16.image.as_slice(),
+            image(&e64).as_slice(),
+            image(&e16).as_slice(),
             "the formed image is independent of the mesh"
         );
         assert!(e64.record.elapsed.seconds() <= e16.record.elapsed.seconds());
@@ -366,8 +366,8 @@ mod tests {
     #[test]
     fn parallel_beats_sequential() {
         let w = RdaWorkload::small();
-        let par = run(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
-        let seq = rda_seq::run(&w, EpiphanyParams::default());
+        let par = plain(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
+        let seq = rda_seq::run(&w, EpiphanyParams::default(), &RunContext::plain());
         let speedup = seq.record.elapsed.seconds() / par.record.elapsed.seconds();
         assert!(
             speedup > 4.0,
@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn corner_turn_phase_loads_the_mesh() {
         let w = RdaWorkload::small();
-        let r = run(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
+        let r = plain(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
         assert_eq!(r.record.phases.len(), 4);
         let ct = &r.record.phases[1];
         assert_eq!(ct.name, "corner_turn");
@@ -404,25 +404,25 @@ mod tests {
     #[test]
     fn a_16_core_subgrid_of_the_e64_matches_the_e16_image() {
         let w = RdaWorkload::small();
-        let e16 = run(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
-        let sub = run(
+        let e16 = plain(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
+        let sub = plain(
             &w,
             EpiphanyParams::e64(),
             RdaSpmdOptions { cores: Some(16) },
         );
-        assert_eq!(sub.image.as_slice(), e16.image.as_slice());
+        assert_eq!(image(&sub).as_slice(), image(&e16).as_slice());
         assert!(sub.record.label.contains("16 cores"));
     }
 
     #[test]
     fn fewer_cores_run_longer() {
         let w = RdaWorkload::small();
-        let four = run(
+        let four = plain(
             &w,
             EpiphanyParams::default(),
             RdaSpmdOptions { cores: Some(4) },
         );
-        let sixteen = run(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
+        let sixteen = plain(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
         assert!(four.record.elapsed.seconds() > sixteen.record.elapsed.seconds());
     }
 
@@ -430,7 +430,7 @@ mod tests {
     fn core_halt_recovery_reproduces_the_image_bit_for_bit() {
         use faultsim::{FaultEvent, FaultPlan};
         let w = RdaWorkload::small();
-        let clean = run(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
+        let clean = plain(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
         let plan = FaultPlan::from_events(
             19,
             vec![FaultEvent::CoreHalt {
@@ -439,16 +439,10 @@ mod tests {
             }],
         );
         let faults = FaultState::from_plan(&plan);
-        let r = run_faulted(
-            &w,
-            EpiphanyParams::default(),
-            RdaSpmdOptions::default(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
-        );
+        let r = faulted(&w, faults.clone());
         assert_eq!(
-            r.image.as_slice(),
-            clean.image.as_slice(),
+            image(&r).as_slice(),
+            image(&clean).as_slice(),
             "checkpoint/restart must reproduce the fault-free image bit-for-bit"
         );
         let totals = faults.totals();
@@ -469,18 +463,10 @@ mod tests {
                 at: Cycle(10_000),
             }],
         );
-        let go = || {
-            run_faulted(
-                &w,
-                EpiphanyParams::default(),
-                RdaSpmdOptions::default(),
-                desim::trace::Tracer::disabled(),
-                FaultState::from_plan(&plan),
-            )
-        };
+        let go = || faulted(&w, FaultState::from_plan(&plan));
         let (a, b) = (go(), go());
         assert_eq!(a.record.elapsed.cycles, b.record.elapsed.cycles);
         assert_eq!(a.record.faults, b.record.faults);
-        assert_eq!(a.image.as_slice(), b.image.as_slice());
+        assert_eq!(image(&a).as_slice(), image(&b).as_slice());
     }
 }

@@ -142,10 +142,42 @@ mod tests {
 
     #[test]
     fn scattered_placement_fails_the_hop_budget() {
-        let m = mapping_named_placed("autofocus_mpmd", Placement::scattered()).unwrap();
+        // The one placement override reaches both halves of a pipeline
+        // pair: the analyzer (the model declares the scattered cores and
+        // SL005 fires) and the simulator (longer routes, more byte-hops).
         let p = platform_named("epiphany").unwrap();
         let w = Workload::named("autofocus", true).unwrap();
-        let r = analyze_pair(m.as_ref(), &w, p.as_ref());
-        assert!(!r.is_clean() && r.has_code("SL005"), "{:?}", r.diagnostics);
+        let byte_hops = |m: &dyn sim_harness::Mapping| {
+            let out = sim_harness::run(m, &w, p.as_ref()).expect("pipeline pair simulates");
+            out.record.counters.get("mesh_byte_hops")
+        };
+        let scattered = Placement::scattered();
+        for name in ["autofocus_mpmd", "autofocus_net"] {
+            let far = mapping_named_placed(name, scattered).unwrap();
+            let model = far
+                .program_model(&w, p.as_ref())
+                .expect("pipelines export a model");
+            let mut declared: Vec<usize> =
+                model.channels.iter().flat_map(|c| [c.from, c.to]).collect();
+            declared.sort_unstable();
+            declared.dedup();
+            let mut placed = scattered.cores();
+            placed.sort_unstable();
+            assert_eq!(declared, placed, "{name}: model ignores the placement");
+
+            let r = analyze_pair(far.as_ref(), &w, p.as_ref());
+            assert!(
+                !r.is_clean() && r.has_code("SL005"),
+                "{name}: {:?}",
+                r.diagnostics
+            );
+
+            let near = mapping_named_placed(name, Placement::neighbor()).unwrap();
+            let (far_hops, near_hops) = (byte_hops(far.as_ref()), byte_hops(near.as_ref()));
+            assert!(
+                far_hops > near_hops,
+                "{name}: scattered {far_hops} byte-hops vs neighbour {near_hops}"
+            );
+        }
     }
 }

@@ -5,12 +5,11 @@
 //! counters drifts (`SL016`), and a landing-free run reports the
 //! vacuous note.
 
-use desim::trace::Tracer;
 use sar_epiphany::mapping_named;
 use sarlint::dynamic::cross_check;
 use sim_harness::{
     platform_named, Bound, HarnessError, Mapping, MappingRun, Platform, PlatformKind, ProgramModel,
-    Severity, Workload,
+    RunContext, Severity, Workload,
 };
 
 /// Delegates execution to a real mapping but exports a model with
@@ -32,9 +31,9 @@ impl Mapping for UnderDeclared {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
+        ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
-        self.0.execute(workload, platform, tracer)
+        self.0.execute(workload, platform, ctx)
     }
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
         let mut m = self.0.program_model(workload, platform)?;
@@ -63,9 +62,9 @@ impl Mapping for OverDeclared {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
+        ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
-        self.0.execute(workload, platform, tracer)
+        self.0.execute(workload, platform, ctx)
     }
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
         let mut m = self.0.program_model(workload, platform)?;
@@ -93,9 +92,9 @@ impl Mapping for Drifted {
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
+        ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
-        self.0.execute(workload, platform, tracer)
+        self.0.execute(workload, platform, ctx)
     }
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
         let mut m = self.0.program_model(workload, platform)?;

@@ -4,9 +4,8 @@
 //!
 //! Run with: `cargo run --example epiphany_ffbp --release`
 
-use sar_repro::epiphany::EpiphanyParams;
-use sar_repro::sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sar_repro::sar_epiphany::{ffbp_seq, workloads::FfbpWorkload};
+use sar_repro::sar_epiphany::{mapping_named, workloads::FfbpWorkload};
+use sar_repro::sim_harness::{platform_named, run, Workload};
 
 fn main() {
     // A reduced workload keeps the example quick; the full Table I run
@@ -16,32 +15,39 @@ fn main() {
         ..sar_repro::sar_core::geometry::SarGeometry::paper_size()
     };
     let scene = sar_repro::sar_core::scene::Scene::six_targets(geom);
-    let w = FfbpWorkload {
+    let w = Workload::Ffbp(FfbpWorkload {
         geom,
         data: sar_repro::sar_core::scene::simulate_compressed_data(&scene, 0.0, 7),
         config: Default::default(),
-    };
+    });
 
-    let seq = ffbp_seq::run(&w, EpiphanyParams::default());
-    let par = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
+    // Both configurations are registered pairs: the same harness path
+    // the `run` binary and Table I use.
+    let epiphany = platform_named("epiphany").expect("registered platform");
+    let pair = |name: &str| {
+        let mapping = mapping_named(name).expect("registered mapping");
+        run(mapping.as_ref(), &w, epiphany.as_ref()).expect("supported pair")
+    };
+    let seq = pair("ffbp_seq");
+    let par = pair("ffbp_spmd");
 
     println!("{}", seq.record);
     println!();
     println!("{}", par.record);
     println!();
+    let hits = par.record.metric("local_hits").expect("read split");
+    let misses = par.record.metric("external_misses").expect("read split");
     println!(
-        "prefetch coverage: {} local / {} external ({:.1}% hit rate)",
-        par.local_hits,
-        par.external_misses,
-        100.0 * par.local_hits as f64 / (par.local_hits + par.external_misses) as f64
+        "prefetch coverage: {hits} local / {misses} external ({:.1}% hit rate)",
+        100.0 * hits / (hits + misses)
     );
     println!(
         "16-core speedup over one Epiphany core: {:.2}x (paper, full size: 11.7x)",
         seq.record.elapsed.seconds() / par.record.elapsed.seconds()
     );
     assert_eq!(
-        seq.image.as_slice(),
-        par.image.as_slice(),
+        seq.image.expect("FFBP forms an image").as_slice(),
+        par.image.expect("FFBP forms an image").as_slice(),
         "both mappings must form the same image"
     );
 }

@@ -8,9 +8,9 @@ use sar_repro::sar_core::geometry::SarGeometry;
 use sar_repro::sar_core::quality::{normalized_rmse, response_width, Axis};
 use sar_repro::sar_core::scene::{simulate_compressed_data, simulate_with_track, Scene};
 use sar_repro::sar_core::track::FlightTrack;
-use sar_repro::sar_epiphany::autofocus_mpmd::Placement;
+use sar_repro::sar_epiphany::mapping_named;
 use sar_repro::sar_epiphany::workloads::AutofocusWorkload;
-use sar_repro::sar_epiphany::{autofocus_net, autofocus_seq};
+use sar_repro::sim_harness::{run, EpiphanyPlatform, Workload};
 
 #[test]
 fn track_errors_defocus_and_autofocus_recovers() {
@@ -76,11 +76,16 @@ fn perturbed_track_broadens_the_response() {
 
 #[test]
 fn process_network_agrees_with_hand_written_mapping_end_to_end() {
-    let w = AutofocusWorkload::paper();
-    let seq = autofocus_seq::run(&w, autofocus_seq::params());
-    let net = autofocus_net::run(&w, autofocus_seq::params(), Placement::neighbor());
+    let w = Workload::Autofocus(AutofocusWorkload::paper());
+    let pair = |name: &str| {
+        let mapping = mapping_named(name).expect("registered");
+        run(mapping.as_ref(), &w, &EpiphanyPlatform::default()).expect("supported pair")
+    };
+    let seq = pair("autofocus_seq");
+    let net = pair("autofocus_net");
     // Numerics match the sequential reference...
-    for ((s1, v1), (s2, v2)) in seq.sweep.iter().zip(&net.sweep) {
+    let (seq_sweep, net_sweep) = (seq.sweep.unwrap(), net.sweep.unwrap());
+    for ((s1, v1), (s2, v2)) in seq_sweep.iter().zip(&net_sweep) {
         assert_eq!(s1, s2);
         assert!((v1 - v2).abs() <= 1e-3 * v1.abs().max(1.0));
     }

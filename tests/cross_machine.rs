@@ -6,38 +6,59 @@
 use sar_repro::desim::Frequency;
 use sar_repro::epiphany::EpiphanyParams;
 use sar_repro::refcpu::RefCpuParams;
-use sar_repro::sar_epiphany::autofocus_mpmd::{self, Placement};
-use sar_repro::sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sar_repro::sar_epiphany::rda_spmd::{self, RdaSpmdOptions};
+use sar_repro::sar_core::image::ComplexImage;
+use sar_repro::sar_epiphany::harness_impls::{
+    AutofocusMpmdMapping, AutofocusRefMapping, AutofocusSeqMapping, FfbpRefMapping, FfbpSeqMapping,
+    FfbpSpmdMapping, RdaSeqMapping, RdaSpmdMapping,
+};
 use sar_repro::sar_epiphany::workloads::{AutofocusWorkload, FfbpWorkload, RdaWorkload};
-use sar_repro::sar_epiphany::{autofocus_ref, autofocus_seq, ffbp_ref, ffbp_seq, rda_seq};
+use sar_repro::sim_harness::{
+    run, EpiphanyPlatform, Mapping, MappingRun, Platform, RefCpuPlatform, Workload,
+};
+
+/// One registered pair through the harness — the only way a pair runs.
+fn pair(mapping: &dyn Mapping, w: &Workload, platform: &dyn Platform) -> MappingRun {
+    run(mapping, w, platform).unwrap_or_else(|e| panic!("{}: {e}", mapping.name()))
+}
+
+fn image(r: MappingRun) -> ComplexImage {
+    r.image.expect("image-forming pair")
+}
+
+fn sweep(r: MappingRun) -> Vec<(f32, f32)> {
+    r.sweep.expect("autofocus pair")
+}
 
 #[test]
 fn all_machines_form_the_same_ffbp_image() {
-    let w = FfbpWorkload::small();
-    let a = ffbp_ref::run(&w, RefCpuParams::default()).image;
-    let b = ffbp_seq::run(&w, EpiphanyParams::default()).image;
-    let c = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default()).image;
+    let w = Workload::Ffbp(FfbpWorkload::small());
+    let e16 = EpiphanyPlatform::default();
+    let a = image(pair(&FfbpRefMapping, &w, &RefCpuPlatform::default()));
+    let b = image(pair(&FfbpSeqMapping, &w, &e16));
+    let c = image(pair(&FfbpSpmdMapping::default(), &w, &e16));
     assert_eq!(a.as_slice(), b.as_slice());
     assert_eq!(b.as_slice(), c.as_slice());
 }
 
 #[test]
 fn all_machines_form_the_same_rda_image() {
-    let w = RdaWorkload::small();
-    let plain = sar_repro::sar_core::rda::rda(&w.raw, &w.geom, &w.config).image;
-    let a = rda_seq::run(&w, EpiphanyParams::default()).image;
-    let b = rda_spmd::run(&w, EpiphanyParams::default(), RdaSpmdOptions::default()).image;
+    let rda = RdaWorkload::small();
+    let plain = sar_repro::sar_core::rda::rda(&rda.raw, &rda.geom, &rda.config).image;
+    let w = Workload::Rda(rda);
+    let e16 = EpiphanyPlatform::default();
+    let a = image(pair(&RdaSeqMapping, &w, &e16));
+    let b = image(pair(&RdaSpmdMapping::default(), &w, &e16));
     assert_eq!(plain.as_slice(), a.as_slice());
     assert_eq!(a.as_slice(), b.as_slice());
 }
 
 #[test]
 fn all_machines_compute_the_same_criterion_sweep() {
-    let w = AutofocusWorkload::small();
-    let a = autofocus_ref::run(&w, autofocus_ref::params()).sweep;
-    let b = autofocus_seq::run(&w, autofocus_seq::params()).sweep;
-    let c = autofocus_mpmd::run(&w, autofocus_mpmd::params(), Placement::neighbor()).sweep;
+    let w = Workload::Autofocus(AutofocusWorkload::small());
+    let e16 = EpiphanyPlatform::default();
+    let a = sweep(pair(&AutofocusRefMapping, &w, &RefCpuPlatform::default()));
+    let b = sweep(pair(&AutofocusSeqMapping, &w, &e16));
+    let c = sweep(pair(&AutofocusMpmdMapping::default(), &w, &e16));
     assert_eq!(a, b);
     for ((s1, v1), (s2, v2)) in b.iter().zip(&c) {
         assert_eq!(s1, s2);
@@ -47,29 +68,35 @@ fn all_machines_compute_the_same_criterion_sweep() {
 
 #[test]
 fn simulated_runs_are_deterministic() {
-    let w = FfbpWorkload::small();
-    let a = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
-    let b = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
+    let w = Workload::Ffbp(FfbpWorkload::small());
+    let e16 = EpiphanyPlatform::default();
+    let a = pair(&FfbpSpmdMapping::default(), &w, &e16);
+    let b = pair(&FfbpSpmdMapping::default(), &w, &e16);
     assert_eq!(a.record.elapsed.cycles, b.record.elapsed.cycles);
-    assert_eq!(a.external_misses, b.external_misses);
+    assert_eq!(
+        a.record.metric("external_misses"),
+        b.record.metric("external_misses")
+    );
 }
 
 #[test]
 fn faster_clock_means_less_wall_time_same_cycles() {
-    let w = AutofocusWorkload::small();
-    let slow = autofocus_seq::run(
+    let w = Workload::Autofocus(AutofocusWorkload::small());
+    let slow = pair(
+        &AutofocusSeqMapping,
         &w,
-        EpiphanyParams {
+        &EpiphanyPlatform::with_params(EpiphanyParams {
             clock: Frequency::mhz(400.0),
-            ..autofocus_seq::params()
-        },
+            ..EpiphanyParams::default()
+        }),
     );
-    let fast = autofocus_seq::run(
+    let fast = pair(
+        &AutofocusSeqMapping,
         &w,
-        EpiphanyParams {
+        &EpiphanyPlatform::with_params(EpiphanyParams {
             clock: Frequency::ghz(1.0),
-            ..autofocus_seq::params()
-        },
+            ..EpiphanyParams::default()
+        }),
     );
     assert_eq!(slow.record.elapsed.cycles, fast.record.elapsed.cycles);
     let ratio = slow.record.elapsed.seconds() / fast.record.elapsed.seconds();
@@ -81,11 +108,19 @@ fn faster_clock_means_less_wall_time_same_cycles() {
 
 #[test]
 fn wider_elink_speeds_up_ffbp() {
-    let w = FfbpWorkload::small();
+    let w = Workload::Ffbp(FfbpWorkload::small());
     let mut narrow_params = EpiphanyParams::default();
     narrow_params.emesh.elink_bytes_per_cycle = 1;
-    let narrow = ffbp_spmd::run(&w, narrow_params, SpmdOptions::default());
-    let nominal = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
+    let narrow = pair(
+        &FfbpSpmdMapping::default(),
+        &w,
+        &EpiphanyPlatform::with_params(narrow_params),
+    );
+    let nominal = pair(
+        &FfbpSpmdMapping::default(),
+        &w,
+        &EpiphanyPlatform::default(),
+    );
     assert!(
         narrow.record.elapsed.seconds() > nominal.record.elapsed.seconds(),
         "an 8x narrower eLink must hurt FFBP"
@@ -94,12 +129,16 @@ fn wider_elink_speeds_up_ffbp() {
 
 #[test]
 fn slower_sdram_hurts_the_sequential_port_most() {
-    let w = FfbpWorkload::small();
+    let w = Workload::Ffbp(FfbpWorkload::small());
     let mut slow_mem = EpiphanyParams::default();
     slow_mem.sdram.row_hit_cycles *= 4;
     slow_mem.sdram.row_miss_cycles *= 4;
-    let seq_nominal = ffbp_seq::run(&w, EpiphanyParams::default());
-    let seq_slow = ffbp_seq::run(&w, slow_mem);
+    let seq_nominal = pair(&FfbpSeqMapping, &w, &EpiphanyPlatform::default());
+    let seq_slow = pair(
+        &FfbpSeqMapping,
+        &w,
+        &EpiphanyPlatform::with_params(slow_mem),
+    );
     let penalty = seq_slow.record.elapsed.seconds() / seq_nominal.record.elapsed.seconds();
     assert!(
         penalty > 1.5,
@@ -118,13 +157,16 @@ fn prefetchless_i7_approaches_epiphany_seq_behaviour() {
         ..sar_repro::sar_core::geometry::SarGeometry::paper_size()
     };
     let scene = sar_repro::sar_core::scene::Scene::six_targets(geom);
-    let w = FfbpWorkload {
+    let w = Workload::Ffbp(FfbpWorkload {
         geom,
         data: sar_repro::sar_core::scene::simulate_compressed_data(&scene, 0.0, 7),
         config: Default::default(),
+    });
+    let on = pair(&FfbpRefMapping, &w, &RefCpuPlatform::default());
+    let no_prefetch = RefCpuPlatform {
+        params: RefCpuParams::without_prefetch(),
     };
-    let on = ffbp_ref::run(&w, RefCpuParams::default());
-    let off = ffbp_ref::run(&w, RefCpuParams::without_prefetch());
+    let off = pair(&FfbpRefMapping, &w, &no_prefetch);
     // The prefetcher can only help, and the cache hierarchy (with or
     // without it) keeps the i7 model essentially compute-bound on this
     // streaming kernel — the paper's "prefetching mechanisms combined
@@ -136,7 +178,7 @@ fn prefetchless_i7_approaches_epiphany_seq_behaviour() {
         stalls < 0.10,
         "cached i7 should be compute-bound, stalls {stalls:.2}"
     );
-    let epi = ffbp_seq::run(&w, EpiphanyParams::default());
+    let epi = pair(&FfbpSeqMapping, &w, &EpiphanyPlatform::default());
     let busy_fraction = {
         // All stall time on the Epiphany port is eLink/SDRAM latency.
         let total = epi.record.elapsed.seconds();
@@ -147,6 +189,52 @@ fn prefetchless_i7_approaches_epiphany_seq_behaviour() {
         busy_fraction > 1.5,
         "the cacheless port should be far slower: {busy_fraction:.2}x"
     );
+}
+
+/// The kernel specialisation (the autofocus pairing and IPC figures) is
+/// applied by the registry, once, on top of whatever the platform
+/// supplies: a caller that rebuilds the default chip from its
+/// parameters gets the very same record as the registered platform.
+#[test]
+fn an_equivalent_platform_prices_every_epiphany_pair_identically() {
+    use sar_repro::sar_epiphany::all_mappings;
+    use sar_repro::sim_harness::{platform_named, PlatformKind};
+
+    let named = platform_named("epiphany").expect("registered platform");
+    let rebuilt = EpiphanyPlatform::with_params(EpiphanyParams::default());
+    let mut checked = 0;
+    for m in all_mappings() {
+        if !m.supports(PlatformKind::Epiphany) {
+            continue;
+        }
+        let w = Workload::named(m.kernel(), true).expect("registered kernel");
+        let a = pair(m.as_ref(), &w, named.as_ref()).record.to_json();
+        let b = pair(m.as_ref(), &w, &rebuilt).record.to_json();
+        assert_eq!(
+            a.to_string_pretty(),
+            b.to_string_pretty(),
+            "{}: the record depends on how the platform was built",
+            m.name()
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 7, "every registered Epiphany mapping");
+}
+
+/// The A4 bandwidth ablation varies the eLink through the platform:
+/// the width moves the time and never the pixels.
+#[test]
+fn elink_width_moves_ffbp_time_not_its_image() {
+    let w = Workload::Ffbp(FfbpWorkload::small());
+    let at_width = |bytes_per_cycle: u64| {
+        let mut params = EpiphanyParams::default();
+        params.emesh.elink_bytes_per_cycle = bytes_per_cycle;
+        let platform = EpiphanyPlatform::with_params(params);
+        pair(&FfbpSpmdMapping::default(), &w, &platform)
+    };
+    let (narrow, nominal) = (at_width(2), at_width(8));
+    assert_ne!(narrow.record.elapsed.cycles, nominal.record.elapsed.cycles);
+    assert_eq!(image(narrow).as_slice(), image(nominal).as_slice());
 }
 
 /// Satellite of the harness refactor: *every* registered mapping on
@@ -160,7 +248,7 @@ fn every_mapping_on_every_platform_matches_the_plain_algorithms() {
     use sar_repro::sar_core::autofocus::sweep_criterion;
     use sar_repro::sar_core::ffbp::ffbp;
     use sar_repro::sar_epiphany::all_mappings;
-    use sar_repro::sim_harness::{all_platforms, run, Workload};
+    use sar_repro::sim_harness::all_platforms;
 
     let ffbp_w = FfbpWorkload::small();
     let af_w = AutofocusWorkload::small();

@@ -5,19 +5,31 @@
 //! anchored to the checked-in `results/table1_baseline.json` timing.
 
 use sar_repro::desim::Json;
-use sar_repro::epiphany::EpiphanyParams;
 use sar_repro::sar_core::ffbp::ffbp;
-use sar_repro::sar_epiphany::ffbp_spmd::{self, SpmdOptions};
+use sar_repro::sar_core::image::ComplexImage;
+use sar_repro::sar_epiphany::ffbp_spmd::SpmdOptions;
+use sar_repro::sar_epiphany::harness_impls::FfbpSpmdMapping;
 use sar_repro::sar_epiphany::workloads::FfbpWorkload;
+use sar_repro::sim_harness::{run, EpiphanyPlatform, MappingRun, Workload};
+
+/// `ffbp_spmd` with `opts` on `platform`, through the harness.
+fn spmd(w: &Workload, platform: &EpiphanyPlatform, opts: SpmdOptions) -> MappingRun {
+    run(&FfbpSpmdMapping { opts }, w, platform).expect("ffbp_spmd runs on the Epiphany family")
+}
+
+fn image(r: &MappingRun) -> &ComplexImage {
+    r.image.as_ref().expect("FFBP forms an image")
+}
 
 #[test]
 fn e64_sixteen_core_subgrid_reproduces_the_golden_image() {
-    let w = FfbpWorkload::small();
-    let plain = ffbp(&w.data, &w.geom, &w.config).image;
-    let e16 = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
-    let sub = ffbp_spmd::run(
+    let ffbp_w = FfbpWorkload::small();
+    let plain = ffbp(&ffbp_w.data, &ffbp_w.geom, &ffbp_w.config).image;
+    let w = Workload::Ffbp(ffbp_w);
+    let e16 = spmd(&w, &EpiphanyPlatform::default(), SpmdOptions::default());
+    let sub = spmd(
         &w,
-        EpiphanyParams::e64(),
+        &EpiphanyPlatform::e64(),
         SpmdOptions {
             cores: Some(16),
             ..SpmdOptions::default()
@@ -32,8 +44,8 @@ fn e64_sixteen_core_subgrid_reproduces_the_golden_image() {
     );
     // ...and forms the identical image: same slices, same merge tree,
     // same f32 arithmetic — core placement must not leak into pixels.
-    assert_eq!(sub.image.as_slice(), e16.image.as_slice());
-    assert_eq!(sub.image.as_slice(), plain.as_slice());
+    assert_eq!(image(&sub).as_slice(), image(&e16).as_slice());
+    assert_eq!(image(&sub).as_slice(), plain.as_slice());
 
     // Anchor to the golden document: the baseline's 16-core FFBP row
     // is exactly the configuration the subgrid reproduces, so a fresh
@@ -65,10 +77,10 @@ fn e64_sixteen_core_subgrid_reproduces_the_golden_image() {
 
 #[test]
 fn the_full_e64_beats_the_e16_on_the_same_image() {
-    let w = FfbpWorkload::small();
-    let e16 = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
-    let e64 = ffbp_spmd::run(&w, EpiphanyParams::e64(), SpmdOptions::default());
-    assert_eq!(e64.image.as_slice(), e16.image.as_slice());
+    let w = Workload::Ffbp(FfbpWorkload::small());
+    let e16 = spmd(&w, &EpiphanyPlatform::default(), SpmdOptions::default());
+    let e64 = spmd(&w, &EpiphanyPlatform::e64(), SpmdOptions::default());
+    assert_eq!(image(&e64).as_slice(), image(&e16).as_slice());
     assert!(
         e64.record.elapsed.cycles < e16.record.elapsed.cycles,
         "64 cores must outrun 16 on the same workload"

@@ -7,6 +7,12 @@
 //!
 //! Non-finite numbers (which JSON cannot represent) are written as
 //! `null`; the parser maps `null` back to [`Json::Null`].
+//!
+//! Both directions run in time linear in the document: the parser never
+//! looks past the current token, and the writer formats each number
+//! once. The parser is total: any input yields a value or a
+//! [`JsonError`], with nesting capped at 128 levels so hostile input
+//! cannot overflow the stack.
 
 use std::fmt;
 
@@ -129,8 +135,10 @@ impl Json {
     /// Parse a JSON document (must consume the full input).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -150,10 +158,9 @@ fn write_number(out: &mut String, x: f64) {
         write!(out, "{}", x as i64).unwrap();
     } else {
         // 17 significant digits round-trips every f64.
-        let s = format!("{x:.17e}");
-        let parsed: f64 = s.parse().unwrap();
-        debug_assert_eq!(parsed, x);
-        write!(out, "{s}").unwrap();
+        let start = out.len();
+        write!(out, "{x:.17e}").unwrap();
+        debug_assert_eq!(out[start..].parse::<f64>(), Ok(x));
     }
 }
 
@@ -172,6 +179,18 @@ fn write_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Start a new line indented two spaces per `depth`.
+fn newline_indent(out: &mut String, depth: usize) {
+    const SPACES: &str = "                                                                ";
+    out.push('\n');
+    let mut n = 2 * depth;
+    while n > 0 {
+        let k = n.min(SPACES.len());
+        out.push_str(&SPACES[..k]);
+        n -= k;
+    }
 }
 
 fn write_seq(
@@ -193,14 +212,12 @@ fn write_seq(
             out.push(',');
         }
         if let Some(d) = inner {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', 2 * d));
+            newline_indent(out, d);
         }
         item(out, i, inner);
     }
     if let Some(d) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', 2 * d));
+        newline_indent(out, d);
     }
     out.push(close);
 }
@@ -274,9 +291,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Records nest
+/// a handful of levels; the cap turns hostile input (thousands of `[`)
+/// into an error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -321,8 +345,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -383,52 +418,85 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogates are not needed for our records.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run of plain bytes up to the next quote or
+            // backslash in one go. Both are ASCII, so the run ends on a
+            // char boundary of the (already valid UTF-8) input.
+            let Some(run) = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
             }
+            self.escape(&mut out)?;
         }
+    }
+
+    /// Decode the escape after a backslash into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_escape(out);
+            }
+            _ => return Err(self.err("bad escape")),
+        };
+        self.pos += 1;
+        out.push(c);
+        Ok(())
+    }
+
+    /// Decode the code point of a `\u` escape (its `u` already eaten).
+    /// A UTF-16 high surrogate must be followed by an escaped low
+    /// surrogate, and the pair decodes to one supplementary-plane char;
+    /// a lone or misordered surrogate is an error.
+    fn unicode_escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let high = self.hex4()?;
+        let code = match high {
+            0xD800..=0xDBFF => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(self.err("unpaired high surrogate"));
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(self.err("high surrogate not followed by a low one"));
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(self.err("unpaired low surrogate")),
+            code => code,
+        };
+        out.push(char::from_u32(code).ok_or_else(|| self.err("bad \\u code point"))?);
+        Ok(())
+    }
+
+    /// Exactly four hex digits (no sign, no shorter run).
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let code = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .and_then(|digits| {
+                digits
+                    .iter()
+                    .try_fold(0, |acc, &b| Some((acc << 4) | (b as char).to_digit(16)?))
+            })
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -439,8 +507,8 @@ impl<'a> Parser<'a> {
         while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("bad number"))
     }
@@ -514,6 +582,58 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("01x").is_err());
         assert!(Json::parse("{} extra").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let objs = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(Json::parse(&objs).unwrap_err().message, "nesting too deep");
+    }
+
+    #[test]
+    fn unicode_escapes_need_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert_eq!(Json::parse(r#""\u00e9x""#).unwrap().as_str(), Some("éx"));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u04""#,
+            r#""\u004g""#,
+            r#""\u"#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_fail() {
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00""#).unwrap().as_str(),
+            Some("😀")
+        );
+        assert_eq!(
+            Json::parse(r#""a\uD834\uDD1Eb""#).unwrap().as_str(),
+            Some("a𝄞b")
+        );
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} must be rejected");
+        }
     }
 
     #[test]

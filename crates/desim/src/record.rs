@@ -8,8 +8,9 @@
 //! FFBP merge iteration or per autofocus pipeline stage — replaces the
 //! aggregate-only reports the drivers used to emit.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 use crate::json::Json;
 use crate::power::PowerRecord;
@@ -603,7 +604,9 @@ impl RunRecord {
     }
 
     /// Parse back from [`RunRecord::to_json`] output. Counter names are
-    /// interned (leaked) — records hold a small, bounded name set.
+    /// interned: each distinct name is leaked once per process, so
+    /// decoding the same records again (a resumed sweep's cache) does
+    /// not grow memory.
     pub fn from_json(json: &Json) -> Option<RunRecord> {
         let s = |key: &str| Some(json.get(key)?.as_str()?.to_string());
         let f = |key: &str| json.get(key).and_then(Json::as_f64);
@@ -611,7 +614,7 @@ impl RunRecord {
         let mut counters = Counters::new();
         if let Some(members) = json.get("counters").and_then(Json::as_object) {
             for (k, v) in members {
-                counters.add(Box::leak(k.clone().into_boxed_str()), v.as_u64()?);
+                counters.add(intern(k), v.as_u64()?);
             }
         }
         let mut metrics = BTreeMap::new();
@@ -650,6 +653,20 @@ impl RunRecord {
             power: json.get("power").and_then(PowerRecord::from_json),
         })
     }
+}
+
+/// The `'static` copy of counter name `name`, leaked the first time the
+/// process sees it and shared by every later decode.
+fn intern(name: &str) -> &'static str {
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    // Every insert leaves the set valid, so a poisoned lock is safe to reuse.
+    let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&known) = names.get(name) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(name.into());
+    names.insert(leaked);
+    leaked
 }
 
 impl fmt::Display for RunRecord {

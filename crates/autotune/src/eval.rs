@@ -67,8 +67,8 @@ pub struct Evaluator {
 }
 
 impl Evaluator {
-    /// Build the evaluator for a `mapping:platform` pair. Only the two
-    /// placement-aware autofocus mappings on an Epiphany-kind platform
+    /// Build the evaluator for a `mapping:platform` pair. Only the
+    /// placement-aware autofocus pipeline on an Epiphany-kind platform
     /// are tunable; anything else is an error string for the CLI to
     /// wrap.
     pub fn for_pair(pair: &str, small: bool) -> Result<Evaluator, String> {
@@ -77,15 +77,17 @@ impl Evaluator {
             .ok_or("expected MAPPING:PLATFORM, e.g. autofocus_mpmd:epiphany")?;
         let w = Workload::named("autofocus", small).expect("autofocus workload is registered");
         let w = w.autofocus().expect("named autofocus resolves").clone();
-        let (mapping, probe) = match mapping {
-            "autofocus_mpmd" => ("autofocus_mpmd", PipelineProbe::mpmd(&w)),
-            "autofocus_net" => ("autofocus_net", PipelineProbe::net(&w)),
+        let mapping = match mapping {
+            "autofocus_mpmd" => "autofocus_mpmd",
+            // The pipeline's second registry name.
+            "autofocus_net" => "autofocus_net",
             other => {
                 return Err(format!(
-                    "mapping '{other}' is not placement-aware; expected autofocus_mpmd or autofocus_net"
+                    "mapping '{other}' is not placement-aware; expected autofocus_mpmd"
                 ))
             }
         };
+        let probe = PipelineProbe::new(&w);
         let platform = platform_named(platform_name)
             .ok_or_else(|| format!("unknown platform '{platform_name}'"))?;
         let mesh = platform

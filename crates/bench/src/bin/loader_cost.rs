@@ -65,7 +65,7 @@ fn main() {
 
     h.say("\nLoad time is bandwidth-bound either way; the MPMD cost the paper");
     h.say("stresses is the *build and maintenance* of thirteen separate");
-    h.say("programs — which the `streams` process-network layer removes");
-    h.say("(see `sar-epiphany::autofocus_net`).");
+    h.say("programs — which the `streams` process-network layer removes:");
+    h.say("`sar-epiphany::autofocus_mpmd` declares the pipeline as actors.");
     h.finish();
 }

@@ -343,56 +343,6 @@ impl Histogram {
     }
 }
 
-/// Tracks the busy fraction of a component for energy modelling: the
-/// caller reports busy intervals, and the tracker exposes total busy
-/// cycles without double counting an interval reported twice verbatim
-/// (overlaps are the caller's responsibility — machine models report
-/// reservation holds, which never overlap for a single server).
-#[derive(Debug, Default, Clone)]
-pub struct BusyTime {
-    busy: Cycle,
-    intervals: u64,
-}
-
-impl BusyTime {
-    /// Zeroed tracker.
-    pub fn new() -> BusyTime {
-        BusyTime::default()
-    }
-
-    /// Report a busy interval of length `hold`.
-    pub fn add(&mut self, hold: Cycle) {
-        self.busy += hold;
-        self.intervals += 1;
-    }
-
-    /// Total busy cycles.
-    pub fn busy(&self) -> Cycle {
-        self.busy
-    }
-
-    /// Intervals reported.
-    pub fn intervals(&self) -> u64 {
-        self.intervals
-    }
-
-    /// Fold another tracker into this one (exact: totals and interval
-    /// counts add).
-    pub fn merge(&mut self, other: &BusyTime) {
-        self.busy += other.busy;
-        self.intervals += other.intervals;
-    }
-
-    /// Busy fraction over `[0, horizon]`, clamped to 1.
-    pub fn fraction(&self, horizon: Cycle) -> f64 {
-        if horizon == Cycle::ZERO {
-            0.0
-        } else {
-            (self.busy.raw() as f64 / horizon.raw() as f64).min(1.0)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,21 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn busytime_merge_adds_totals() {
-        let mut a = BusyTime::new();
-        a.add(Cycle(30));
-        let mut b = BusyTime::new();
-        b.add(Cycle(20));
-        b.add(Cycle(10));
-        a.merge(&b);
-        assert_eq!(a.busy(), Cycle(60));
-        assert_eq!(a.intervals(), 3);
-        a.merge(&BusyTime::new());
-        assert_eq!(a.busy(), Cycle(60));
-        assert_eq!(a.intervals(), 3);
-    }
-
-    #[test]
     fn counters_since_reports_growth_only() {
         let mut snap = Counters::new();
         snap.add("flop", 10);
@@ -648,18 +583,5 @@ mod tests {
         let mut tl = PhaseTimeline::new();
         tl.begin("a", Cycle(0), Counters::new());
         tl.begin("b", Cycle(1), Counters::new());
-    }
-
-    #[test]
-    fn busytime_fraction() {
-        let mut b = BusyTime::new();
-        b.add(Cycle(30));
-        b.add(Cycle(20));
-        assert_eq!(b.busy(), Cycle(50));
-        assert_eq!(b.intervals(), 2);
-        assert!((b.fraction(Cycle(100)) - 0.5).abs() < 1e-12);
-        assert_eq!(b.fraction(Cycle::ZERO), 0.0);
-        // Clamped at 1.
-        assert_eq!(b.fraction(Cycle(10)), 1.0);
     }
 }

@@ -1,35 +1,173 @@
 //! Autofocus criterion as a 13-core MPMD streaming pipeline
-//! (Table I row 6, mapping of Figure 9).
+//! (Table I row 6, mapping of Figure 9), written as a `streams`
+//! process network.
 //!
-//! Per contributing image block: three *range interpolator* cores (one
-//! per 4-column window) and three *beam interpolator* cores (one per
-//! 4-row window); a single *correlation + summation* core serves both
+//! Per contributing image block: three *range interpolator* actors (one
+//! per 4-column window) and three *beam interpolator* actors (one per
+//! 4-row window); a single *correlation + summation* actor serves both
 //! blocks — 2 x (3 + 3) + 1 = 13 cores, with three spare for the rest
-//! of the chain. Intermediate results stream between neighbouring
-//! cores as posted cMesh writes with flag synchronisation; nothing but
-//! the initial block load and the final criterion touches off-chip
-//! memory. The custom placement keeps every producer-consumer pair
-//! within a couple of hops — the paper credits this (plus the 64x
+//! of the chain. The driver declares the actors and their channels; the
+//! network fires each actor when its inputs have arrived, and every
+//! token rides the mesh as a flag-signalled posted write. This is the
+//! paper's occam-pi "raise the abstraction level" direction (§VII):
+//! the hand-managed flag waits and remote writes of a per-core MPMD
+//! program become the network's firing rule, at no cost in cycles.
+//! Nothing but the initial block load and the final criterion touches
+//! off-chip memory. The custom placement keeps every producer-consumer
+//! pair within a couple of hops — the paper credits this (plus the 64x
 //! on-chip/off-chip bandwidth ratio) for the pipeline not bottlenecking
 //! at the correlator.
 
-use desim::{Cycle, OpCounts};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use desim::OpCounts;
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
 use memsim::GlobalAddr;
-use sar_core::autofocus::criterion::{BeamStageOut, RangeStageOut};
-use sar_core::autofocus::{beam_stage, best_shift, correlate_partial, range_stage};
+use sar_core::autofocus::criterion::{AutofocusConfig, BeamStageOut, RangeStageOut};
+use sar_core::autofocus::{beam_stage, best_shift, correlate_partial, range_stage, Block6};
 use sim_harness::{MappingRun, RunContext};
+use streams::{Actor, ActorId, FireCtx, Network};
 
 use crate::layout::BANK_CHILD_A;
 use crate::workloads::AutofocusWorkload;
 
 // The placement type lives in the harness (so `autotune` can search
 // over it without depending on the drivers); re-exported here, next
-// to the drivers that consume it. A placed mapping comes from
+// to the driver that consumes it. A placed mapping comes from
 // `mapping_named_placed`, which hands the same placement to this
 // driver and to the mapping's program model.
 pub use sim_harness::Placement;
+
+/// Tokens flowing through the pipeline.
+enum AfToken {
+    /// Work order for a range actor: resample its block at `shift`
+    /// (already halved and signed) for criterion iteration `iteration`.
+    Cmd { shift: f32, iteration: usize },
+    /// A range actor's window output, with the command it answers.
+    Range {
+        out: Box<RangeStageOut>,
+        shift: f32,
+        iteration: usize,
+    },
+    /// A beam actor's window output.
+    Beam(Box<BeamStageOut>),
+}
+
+struct RangeActor {
+    block: Block6,
+    window: usize,
+    cfg: AutofocusConfig,
+}
+
+impl Actor<AfToken> for RangeActor {
+    fn fire(&mut self, inputs: Vec<AfToken>, ctx: &mut FireCtx<'_, AfToken>) {
+        let [AfToken::Cmd { shift, iteration }] = inputs.as_slice() else {
+            panic!("range actor expects one Cmd token");
+        };
+        let (shift, iteration) = (*shift, *iteration);
+        let mut counts = OpCounts::default();
+        let out = range_stage(
+            &self.block,
+            self.window,
+            shift,
+            iteration,
+            &self.cfg,
+            &mut counts,
+        );
+        ctx.charge(&counts);
+        // Six rows of complex samples to each of the block's beam actors.
+        let bytes = 6 * self.cfg.samples_per_iteration() as u64 * 8;
+        for port in 0..3 {
+            let out = Box::new(out.clone());
+            ctx.send(
+                port,
+                AfToken::Range {
+                    out,
+                    shift,
+                    iteration,
+                },
+                bytes,
+            );
+        }
+    }
+}
+
+struct BeamActor {
+    window: usize,
+    cfg: AutofocusConfig,
+}
+
+impl Actor<AfToken> for BeamActor {
+    fn fire(&mut self, inputs: Vec<AfToken>, ctx: &mut FireCtx<'_, AfToken>) {
+        let (mut shift, mut iteration) = (0.0f32, 0usize);
+        let range_out: Vec<RangeStageOut> = inputs
+            .into_iter()
+            .map(|tok| {
+                let AfToken::Range {
+                    out,
+                    shift: s,
+                    iteration: it,
+                } = tok
+                else {
+                    panic!("beam actor expects Range tokens");
+                };
+                (shift, iteration) = (s, it);
+                *out
+            })
+            .collect();
+        let range_out: [RangeStageOut; 3] = range_out.try_into().expect("three range inputs");
+        let mut counts = OpCounts::default();
+        let out = beam_stage(
+            &range_out,
+            self.window,
+            shift,
+            iteration,
+            &self.cfg,
+            &mut counts,
+        );
+        ctx.charge(&counts);
+        // Three windows of complex samples to the correlator.
+        let bytes = 3 * self.cfg.samples_per_iteration() as u64 * 8;
+        ctx.send(0, AfToken::Beam(Box::new(out)), bytes);
+    }
+}
+
+/// Joins the six beam streams (block 0 then block 1) and adds each
+/// round's partial criterion into the current hypothesis's total.
+struct CorrActor {
+    criterion: Rc<Cell<f32>>,
+}
+
+impl Actor<AfToken> for CorrActor {
+    fn fire(&mut self, inputs: Vec<AfToken>, ctx: &mut FireCtx<'_, AfToken>) {
+        let mut beams = inputs.into_iter().map(|tok| {
+            let AfToken::Beam(out) = tok else {
+                panic!("correlator expects Beam tokens");
+            };
+            *out
+        });
+        let minus: [BeamStageOut; 3] = std::array::from_fn(|_| beams.next().expect("six inputs"));
+        let plus: [BeamStageOut; 3] = std::array::from_fn(|_| beams.next().expect("six inputs"));
+        let mut counts = OpCounts::default();
+        let partial = correlate_partial(&minus, &plus, &mut counts);
+        ctx.charge(&counts);
+        self.criterion.set(self.criterion.get() + partial);
+    }
+}
+
+/// DMA block `blk` from SDRAM into range core `rc`'s upper bank.
+fn stage_block(chip: &mut Chip, rc: usize, blk: usize) {
+    let d = chip.dma_start(
+        rc,
+        DmaDirection::ExternalToLocal,
+        GlobalAddr::external(blk as u32 * 288),
+        BANK_CHILD_A,
+        288,
+    );
+    chip.dma_wait(rc, d);
+}
 
 /// Execute the autofocus workload on the 13-core pipeline placed by
 /// `place`: one phase per hypothesis (with per-stage occupancy and
@@ -38,21 +176,24 @@ pub use sim_harness::Placement;
 /// kernel's pairing specialisation is the registry's job. The chip
 /// emits its spans into `ctx.tracer`.
 ///
-/// Under `ctx.faults` two recovery policies compose: every
-/// inter-stage flag message goes through [`Chip::send_reliable`]
-/// (producer-side watchdog, so a dropped flag costs a timeout and a
-/// re-send instead of a hang), and a core that halts permanently is
-/// handled by *drain-and-restart* — the current hypothesis's in-flight
-/// results are discarded, the dead core's stage is remapped onto one
-/// of the three spare cores ([`Placement::remap`], re-staging the
-/// block data if it was a range core), and the hypothesis is re-run on
-/// the repaired pipeline. The sweep is bit-identical to the fault-free
-/// run because a restarted hypothesis recomputes exactly the same
-/// values.
+/// Each criterion iteration feeds the six range actors one command and
+/// runs the network to quiescence, so the firing order is range then
+/// beam for block 0, then block 1, then the correlator.
+///
+/// Under `ctx.faults` two recovery policies compose: every channel
+/// send goes through [`Chip::send_reliable`] (producer-side watchdog,
+/// so a dropped flag costs a timeout and a re-send instead of a hang),
+/// and a core that halts permanently is handled by *drain-and-restart*
+/// — the current hypothesis's criterion is discarded, the dead core's
+/// actor is moved onto one of the three spare cores
+/// ([`Placement::remap`], re-staging the block data if it was a range
+/// core), and the hypothesis is re-run on the repaired pipeline. The
+/// sweep is bit-identical to the fault-free run because a restarted
+/// hypothesis recomputes exactly the same values.
 pub fn run(
     w: &AutofocusWorkload,
     params: EpiphanyParams,
-    mut place: Placement,
+    place: Placement,
     ctx: &RunContext,
 ) -> MappingRun {
     let faults = &ctx.faults;
@@ -66,7 +207,7 @@ pub fn run(
     chip.set_faults(faults.clone());
     // Placements are written in E16G3 (4-column) ids; renumber onto
     // the chip's actual mesh, preserving coordinates and hop counts.
-    place = place.rebased(chip.mesh_dims().0, chip.mesh_dims().1);
+    let mut place = place.rebased(chip.mesh_dims().0, chip.mesh_dims().1);
 
     // The three cores the 13-core mapping leaves idle: the spare pool
     // for remapping around permanent halts.
@@ -77,23 +218,56 @@ pub fn run(
     // Initial load: each range core DMAs its block from SDRAM.
     for (blk, range_cores) in place.range.iter().enumerate() {
         for &rc in range_cores {
-            let d = chip.dma_start(
-                rc,
-                DmaDirection::ExternalToLocal,
-                GlobalAddr::external(blk as u32 * 288),
-                BANK_CHILD_A,
-                288,
-            );
-            chip.dma_wait(rc, d);
+            stage_block(&mut chip, rc, blk);
         }
     }
 
-    let per_it = w.config.samples_per_iteration() as u64;
-    let range_msg_bytes = 6 * per_it * 8; // six rows of complex samples
-    let beam_msg_bytes = 3 * per_it * 8; // three windows of complex samples
-
-    let mut counts = [OpCounts::default(); 13];
-    let mut charged = [OpCounts::default(); 13];
+    // Thirteen actors, added block by block (range, then beam) so the
+    // network's lowest-index-first scheduler fires them in that order.
+    let mut net: Network<AfToken> = Network::new(chip);
+    let criterion = Rc::new(Cell::new(0.0f32));
+    let corr = net.add_actor(
+        "corr",
+        place.corr,
+        Box::new(CorrActor {
+            criterion: criterion.clone(),
+        }),
+    );
+    let stages: [([ActorId; 3], [ActorId; 3]); 2] = std::array::from_fn(|blk| {
+        let block = [w.f_minus, w.f_plus][blk];
+        let range = std::array::from_fn(|window| {
+            let actor = RangeActor {
+                block,
+                window,
+                cfg: w.config,
+            };
+            let core = place.range[blk][window];
+            net.add_actor(&format!("range{blk}{window}"), core, Box::new(actor))
+        });
+        let beam = std::array::from_fn(|window| {
+            let actor = BeamActor {
+                window,
+                cfg: w.config,
+            };
+            let core = place.beam[blk][window];
+            net.add_actor(&format!("beam{blk}{window}"), core, Box::new(actor))
+        });
+        (range, beam)
+    });
+    // Channels: each range window feeds all three beam actors of its
+    // block (a beam actor's input ports are the range windows in
+    // order); the correlator's six ports are block 0's beams, then
+    // block 1's.
+    for (range, beam) in &stages {
+        for &r in range {
+            for &b in beam {
+                net.connect(r, b);
+            }
+        }
+    }
+    for &b in stages.iter().flat_map(|(_, beam)| beam) {
+        net.connect(b, corr);
+    }
 
     // Stage occupancy: share of the phase's span each stage's cores
     // spent busy. All snapshots are pure reads of the chip's cursors —
@@ -106,113 +280,48 @@ pub fn run(
     for h in 0..w.hypotheses {
         // One attempt per pass; a permanent halt discards the attempt
         // (drain-and-restart) and re-runs it on the repaired pipeline.
-        'attempt: loop {
-            // The placement can change between attempts, so the slot
-            // map and stage groupings are derived fresh each time.
+        loop {
+            // The placement can change between attempts, so the stage
+            // groupings are derived fresh each time.
             let cores = place.cores();
-            let core_slot =
-                |core: usize| cores.iter().position(|&c| c == core).expect("mapped core");
             let range_cores: Vec<usize> = place.range.iter().flatten().copied().collect();
             let beam_cores: Vec<usize> = place.beam.iter().flatten().copied().collect();
 
             let attempt_e0 = if faults.is_enabled() {
-                chip.energy().total_j()
+                net.chip().energy().total_j()
             } else {
                 0.0
             };
-            chip.phase_begin("hypothesis");
-            let t0 = chip.elapsed();
-            let range_busy0 = stage_busy(&chip, &range_cores);
-            let beam_busy0 = stage_busy(&chip, &beam_cores);
-            let corr_busy0 = chip.busy(place.corr).0;
-            let mut corr_wait_cycles = 0u64;
-            let mut corr_queue_peak = 0u64;
+            net.chip_mut().phase_begin("hypothesis");
+            let t0 = net.chip().elapsed();
+            let range_busy0 = stage_busy(net.chip(), &range_cores);
+            let beam_busy0 = stage_busy(net.chip(), &beam_cores);
+            let corr_busy0 = net.chip().busy(place.corr).0;
             let shift = w.shift(h);
-            let mut criterion = 0.0f32;
-            for it in 0..3 {
-                let mut beam_out: [[Option<BeamStageOut>; 3]; 2] = Default::default();
-                let mut corr_ready = Cycle::ZERO;
-                let mut corr_arrivals: Vec<Cycle> = Vec::with_capacity(6);
-                #[allow(clippy::needless_range_loop)] // blk selects block-specific tables
-                for blk in 0..2 {
-                    let (block, s) = if blk == 0 {
-                        (&w.f_minus, -0.5 * shift)
-                    } else {
-                        (&w.f_plus, 0.5 * shift)
-                    };
-                    // Range stage: three cores, one window each; each core
-                    // streams its output to all three beam cores.
-                    let mut range_out: [Option<RangeStageOut>; 3] = Default::default();
-                    let mut deliveries = [[Cycle::ZERO; 3]; 3]; // [beam][range]
-                    for wi in 0..3 {
-                        let rc = place.range[blk][wi];
-                        let slot = core_slot(rc);
-                        let out = range_stage(block, wi, s, it, &w.config, &mut counts[slot]);
-                        let delta = counts[slot].since(&charged[slot]);
-                        charged[slot] = counts[slot];
-                        chip.compute(rc, &delta);
-                        for (bi, row) in deliveries.iter_mut().enumerate() {
-                            let bc = place.beam[blk][bi];
-                            row[wi] = chip.send_reliable(rc, bc, range_msg_bytes);
-                        }
-                        range_out[wi] = Some(out);
-                    }
-                    let range_out: [RangeStageOut; 3] = range_out.map(|o| o.expect("range output"));
-
-                    // Beam stage: each core waits for its three inputs.
-                    for bi in 0..3 {
-                        let bc = place.beam[blk][bi];
-                        let slot = core_slot(bc);
-                        let ready = deliveries[bi].iter().copied().max().unwrap_or(Cycle::ZERO);
-                        chip.wait_flag(bc, ready);
-                        let out = beam_stage(&range_out, bi, s, it, &w.config, &mut counts[slot]);
-                        let delta = counts[slot].since(&charged[slot]);
-                        charged[slot] = counts[slot];
-                        chip.compute(bc, &delta);
-                        let arr = chip.send_reliable(bc, place.corr, beam_msg_bytes);
-                        corr_ready = corr_ready.max(arr);
-                        corr_arrivals.push(arr);
-                        beam_out[blk][bi] = Some(out);
+            criterion.set(0.0);
+            for iteration in 0..3 {
+                for ((range, _), sign) in stages.iter().zip([-0.5f32, 0.5]) {
+                    for &r in range {
+                        let shift = sign * shift;
+                        net.feed(r, AfToken::Cmd { shift, iteration });
                     }
                 }
-
-                // Correlation + summation once both halves have streamed in.
-                let minus: [BeamStageOut; 3] =
-                    std::array::from_fn(|i| beam_out[0][i].take().expect("beam output"));
-                let plus: [BeamStageOut; 3] =
-                    std::array::from_fn(|i| beam_out[1][i].take().expect("beam output"));
-                let slot = core_slot(place.corr);
-                // Queue depth seen by the correlator: messages already
-                // delivered when it reaches the wait (backlog), and how
-                // long it idles for the last one.
-                let consume_at = chip.now(place.corr);
-                let backlog = corr_arrivals.iter().filter(|&&a| a <= consume_at).count() as u64;
-                corr_queue_peak = corr_queue_peak.max(backlog);
-                corr_wait_cycles += corr_ready.saturating_sub(consume_at).0;
-                chip.wait_flag(place.corr, corr_ready);
-                criterion += correlate_partial(&minus, &plus, &mut counts[slot]);
-                let delta = counts[slot].since(&charged[slot]);
-                charged[slot] = counts[slot];
-                chip.compute(place.corr, &delta);
+                net.run();
             }
+            let stall = net.take_stall(corr);
+            let chip = net.chip_mut();
             chip.write_external(place.corr, GlobalAddr::external(0x10000 + 8 * h as u32), 8);
             let span = (chip.elapsed() - t0).0.max(1);
             let occupancy =
                 |busy0: u64, busy1: u64, n: u64| (busy1 - busy0) as f64 / (n * span) as f64;
-            chip.phase_metric(
-                "range_occupancy",
-                occupancy(range_busy0, stage_busy(&chip, &range_cores), 6),
-            );
-            chip.phase_metric(
-                "beam_occupancy",
-                occupancy(beam_busy0, stage_busy(&chip, &beam_cores), 6),
-            );
-            chip.phase_metric(
-                "corr_occupancy",
-                occupancy(corr_busy0, chip.busy(place.corr).0, 1),
-            );
-            chip.phase_metric("corr_wait_cycles", corr_wait_cycles as f64);
-            chip.phase_metric("corr_queue_peak", corr_queue_peak as f64);
+            let range_busy1 = stage_busy(chip, &range_cores);
+            chip.phase_metric("range_occupancy", occupancy(range_busy0, range_busy1, 6));
+            let beam_busy1 = stage_busy(chip, &beam_cores);
+            chip.phase_metric("beam_occupancy", occupancy(beam_busy0, beam_busy1, 6));
+            let corr_busy1 = chip.busy(place.corr).0;
+            chip.phase_metric("corr_occupancy", occupancy(corr_busy0, corr_busy1, 1));
+            chip.phase_metric("corr_wait_cycles", stall.wait_cycles as f64);
+            chip.phase_metric("corr_queue_peak", stall.ready_peak as f64);
 
             // Health check at the hypothesis boundary: any core that
             // halted during this attempt invalidates its in-flight
@@ -228,31 +337,26 @@ pub fn run(
             spares.retain(|s| !halted.contains(&(*s as u32)));
             if dead.is_empty() {
                 chip.phase_end();
-                sweep.push((shift, criterion));
-                break 'attempt;
+                sweep.push((shift, criterion.get()));
+                break;
             }
             chip.phase_metric("halted_cores", dead.len() as f64);
             chip.phase_end();
             for d in dead {
                 let spare = spares.pop().expect("no spare core left to remap onto");
                 place = place.remap(d, spare);
+                net.remap(d, spare);
                 faults.add_degraded_cores(1);
                 // A replacement range core needs its image block re-staged
                 // from SDRAM; beam and correlator stages carry no state
                 // across hypotheses.
                 for (blk, rcs) in place.range.iter().enumerate() {
                     if rcs.contains(&spare) {
-                        let dma = chip.dma_start(
-                            spare,
-                            DmaDirection::ExternalToLocal,
-                            GlobalAddr::external(blk as u32 * 288),
-                            BANK_CHILD_A,
-                            288,
-                        );
-                        chip.dma_wait(spare, dma);
+                        stage_block(net.chip_mut(), spare, blk);
                     }
                 }
             }
+            let chip = net.chip();
             faults.add_recovery_cycles(chip.elapsed().saturating_sub(t0).raw());
             faults.add_recovery_energy((chip.energy().total_j() - attempt_e0).max(0.0));
         }
@@ -260,7 +364,9 @@ pub fn run(
 
     let best = best_shift(&sweep);
     MappingRun {
-        record: chip.report("Autofocus / Epiphany, 13 cores @ 1 GHz (MPMD pipeline)", 13),
+        record: net
+            .chip()
+            .report("Autofocus / Epiphany, 13 cores @ 1 GHz (MPMD pipeline)", 13),
         image: None,
         sweep: Some(sweep),
         best: Some(best),
@@ -272,6 +378,7 @@ mod tests {
     use super::*;
     use crate::harness_impls::run_registered;
     use crate::mapping_named_placed;
+    use desim::Cycle;
     use faultsim::FaultState;
     use sim_harness::{EpiphanyPlatform, Workload};
 

@@ -16,8 +16,7 @@ use crate::autofocus_mpmd::Placement;
 use crate::autofocus_ref::AUTOFOCUS_SUSTAINED_IPC;
 use crate::autofocus_seq::AUTOFOCUS_PAIRING;
 use crate::{
-    autofocus_mpmd, autofocus_net, autofocus_ref, autofocus_seq, ffbp_ref, ffbp_seq, ffbp_spmd,
-    rda_seq, rda_spmd,
+    autofocus_mpmd, autofocus_ref, autofocus_seq, ffbp_ref, ffbp_seq, ffbp_spmd, rda_seq, rda_spmd,
 };
 
 fn kernel_mismatch(mapping: &dyn Mapping, workload: &Workload) -> HarnessError {
@@ -258,23 +257,26 @@ impl Mapping for AutofocusSeqMapping {
     }
 }
 
-/// Autofocus as the hand-written 13-core MPMD pipeline (Table I row 6).
+/// Autofocus as the 13-core MPMD pipeline (Table I row 6).
 pub struct AutofocusMpmdMapping {
     /// Stage-to-core placement. Default: the paper's neighbour mapping.
     pub place: Placement,
+    /// Registry name: `autofocus_mpmd`, or its alias `autofocus_net`.
+    name: &'static str,
 }
 
 impl Default for AutofocusMpmdMapping {
     fn default() -> Self {
         AutofocusMpmdMapping {
             place: Placement::neighbor(),
+            name: "autofocus_mpmd",
         }
     }
 }
 
 impl Mapping for AutofocusMpmdMapping {
     fn name(&self) -> &'static str {
-        "autofocus_mpmd"
+        self.name
     }
     fn kernel(&self) -> &'static str {
         "autofocus"
@@ -300,52 +302,6 @@ impl Mapping for AutofocusMpmdMapping {
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
         workload.autofocus().map(|w| {
             crate::program_model::autofocus_mpmd_model(w, &self.place, platform_mesh(platform))
-        })
-    }
-}
-
-/// Autofocus as the declarative `streams` process network.
-pub struct AutofocusNetMapping {
-    /// Stage-to-core placement. Default: the paper's neighbour mapping.
-    pub place: Placement,
-}
-
-impl Default for AutofocusNetMapping {
-    fn default() -> Self {
-        AutofocusNetMapping {
-            place: Placement::neighbor(),
-        }
-    }
-}
-
-impl Mapping for AutofocusNetMapping {
-    fn name(&self) -> &'static str {
-        "autofocus_net"
-    }
-    fn kernel(&self) -> &'static str {
-        "autofocus"
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        kind == PlatformKind::Epiphany
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        ctx: &RunContext,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .autofocus()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let mut params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        params.pairing_efficiency = AUTOFOCUS_PAIRING;
-        Ok(autofocus_net::run(w, params, self.place, ctx))
-    }
-    fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
-        workload.autofocus().map(|w| {
-            crate::program_model::autofocus_pipeline_model(w, &self.place, platform_mesh(platform))
         })
     }
 }
@@ -432,7 +388,11 @@ pub fn all_mappings() -> Vec<Box<dyn Mapping>> {
         Box::new(AutofocusRefMapping),
         Box::new(AutofocusSeqMapping),
         Box::new(AutofocusMpmdMapping::default()),
-        Box::new(AutofocusNetMapping::default()),
+        // Second name for the same pipeline; perfbench's pair lists use it.
+        Box::new(AutofocusMpmdMapping {
+            name: "autofocus_net",
+            ..AutofocusMpmdMapping::default()
+        }),
         Box::new(RdaSeqMapping),
         Box::new(RdaSpmdMapping::default()),
     ]
@@ -445,12 +405,14 @@ pub fn mapping_named(name: &str) -> Option<Box<dyn Mapping>> {
 }
 
 /// [`mapping_named`] with a stage-to-core placement override — only
-/// the two pipeline mappings are placeable; other names return their
+/// the pipeline mapping is placeable; other names return their
 /// registry default.
 pub fn mapping_named_placed(name: &str, place: Placement) -> Option<Box<dyn Mapping>> {
     match name {
-        "autofocus_mpmd" => Some(Box::new(AutofocusMpmdMapping { place })),
-        "autofocus_net" => Some(Box::new(AutofocusNetMapping { place })),
+        "autofocus_mpmd" | "autofocus_net" => {
+            let name = mapping_named(name)?.name();
+            Some(Box::new(AutofocusMpmdMapping { place, name }))
+        }
         _ => mapping_named(name),
     }
 }

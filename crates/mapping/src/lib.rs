@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 
 pub mod autofocus_mpmd;
-pub mod autofocus_net;
 pub mod autofocus_ref;
 pub mod autofocus_seq;
 pub mod ffbp_ref;

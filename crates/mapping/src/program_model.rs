@@ -5,7 +5,7 @@
 //! Each builder states, for one steady-state round of its driver,
 //! exactly what the driver code does: which banks hold which live
 //! buffers (`crate::layout`), which producer→consumer channels stream
-//! (the same graph `crate::autofocus_net` wires up), and where flags
+//! (the same graph `crate::autofocus_mpmd` wires up), and where flags
 //! and barriers synchronise. Keeping builder and driver side by side
 //! in this crate is the contract: a driver change that moves a buffer
 //! or a channel must update its model, and the analyzer (plus the
@@ -248,22 +248,24 @@ pub fn autofocus_seq_model(w: &AutofocusWorkload, mesh: (u16, u16)) -> ProgramMo
     m
 }
 
-/// The 13-core autofocus pipeline (§V-B), shared by the hand-written
-/// MPMD driver and the `streams` network — both stream the same
-/// channel graph over the same placement.
+/// The 13-core autofocus pipeline (§V-B) as `crate::autofocus_mpmd`
+/// runs it.
 ///
 /// Buffers: each range core holds its DMA'd source block in an upper
 /// bank; each beam core's bank 0 receives three posted range messages
 /// per round; the correlator's bank 0 receives six beam messages.
 /// Channels: range `(blk, win)` feeds all three beam cores of its
 /// block, every beam core feeds the correlator — 24 channels, each
-/// with its flag-signalled posted-write protocol.
-pub fn autofocus_pipeline_model(
+/// with its flag-signalled posted-write protocol, and every channel
+/// (and its flag) is covered by the driver's recovery story: watchdog
+/// retry on a lost flag, then drain-and-restart of the hypothesis with
+/// a spare-core remap if the peer has halted.
+pub fn autofocus_mpmd_model(
     w: &AutofocusWorkload,
     place: &Placement,
     mesh: (u16, u16),
 ) -> ProgramModel {
-    PipelineProbe::net(w).model(place, mesh)
+    PipelineProbe::new(w).model(place, mesh)
 }
 
 /// The placement-independent half of the pipeline model: per-firing op
@@ -278,35 +280,11 @@ pub struct PipelineProbe {
     corr_ops: OpCounts,
     per_it: u32,
     hypotheses: u64,
-    /// Flag waits a range core pays per hypothesis (the streams
-    /// network's actors wait on command tokens; the hand-written MPMD
-    /// driver's range cores never wait).
-    range_waits_per_hyp: f64,
-    /// Whether every channel carries the MPMD driver's recovery story.
-    mpmd_recovery: bool,
 }
 
 impl PipelineProbe {
-    /// Probe for the `streams` process network (`autofocus_net`).
-    pub fn net(w: &AutofocusWorkload) -> PipelineProbe {
-        // The streams network waits once per firing — range actors
-        // wait on their command tokens too, unlike the hand-written
-        // MPMD driver.
-        PipelineProbe::probed(w, 3.0, false)
-    }
-
-    /// Probe for the hand-written MPMD driver (`autofocus_mpmd`).
-    pub fn mpmd(w: &AutofocusWorkload) -> PipelineProbe {
-        // The hand-written driver's range cores never wait — they fire
-        // as soon as the host loop reaches them.
-        PipelineProbe::probed(w, 0.0, true)
-    }
-
-    fn probed(
-        w: &AutofocusWorkload,
-        range_waits_per_hyp: f64,
-        mpmd_recovery: bool,
-    ) -> PipelineProbe {
+    /// Probe the stage kernels on `w`.
+    pub fn new(w: &AutofocusWorkload) -> PipelineProbe {
         let (range_ops, beam_ops, corr_ops) = probe_autofocus_stages(w);
         PipelineProbe {
             range_ops,
@@ -314,19 +292,15 @@ impl PipelineProbe {
             corr_ops,
             per_it: u32::try_from(w.config.samples_per_iteration()).expect("samples fit u32"),
             hypotheses: w.hypotheses as u64,
-            range_waits_per_hyp,
-            mpmd_recovery,
         }
     }
 
     /// Wire the probed workload onto `place` (no kernel execution).
     pub fn model(&self, place: &Placement, mesh: (u16, u16)) -> ProgramModel {
         let mut m = pipeline_model_from(self, place, mesh);
-        if self.mpmd_recovery {
-            let covered = m.declare_recovery("range", "retry_backoff+drain_restart")
-                + m.declare_recovery("beam", "retry_backoff+drain_restart");
-            debug_assert!(covered > 0, "the pipeline's channels must match");
-        }
+        let covered = m.declare_recovery("range", "retry_backoff+drain_restart")
+            + m.declare_recovery("beam", "retry_backoff+drain_restart");
+        debug_assert!(covered > 0, "the pipeline's channels must match");
         m
     }
 }
@@ -412,8 +386,8 @@ fn pipeline_model_from(probe: &PipelineProbe, place: &Placement, mesh: (u16, u16
         for &rc in range_cores {
             let mut wd = WorkDecl::new(rc);
             wd.exact_ops(probe.range_ops.scaled(3));
+            // Host-fed commands: range cores never wait on a flag.
             wd.compute_calls = Bound::exact(3.0);
-            wd.flag_waits = Bound::exact(probe.range_waits_per_hyp);
             ph.work.push(wd);
             for &bc in &place.beam[blk] {
                 ph.traffic.push(TrafficDecl {
@@ -448,21 +422,6 @@ fn pipeline_model_from(probe: &PipelineProbe, place: &Placement, mesh: (u16, u16
     wd.ext_write_bytes = Bound::exact(8.0);
     ph.work.push(wd);
     m
-}
-
-/// [`autofocus_pipeline_model`] as the hand-written MPMD driver
-/// actually runs it: every channel (and its protocol flag) is covered
-/// by the driver's recovery story — watchdog retry on a lost flag,
-/// then drain-and-restart of the hypothesis with a spare-core remap
-/// if the peer has halted. The `streams` network keeps the plain
-/// (undeclared) model, so `sarlint` flags its channels as
-/// recovery-free (SL011/SL012).
-pub fn autofocus_mpmd_model(
-    w: &AutofocusWorkload,
-    place: &Placement,
-    mesh: (u16, u16),
-) -> ProgramModel {
-    PipelineProbe::mpmd(w).model(place, mesh)
 }
 
 /// Per-unit op ledgers of the three RDA pipeline stages, probed by
@@ -828,11 +787,6 @@ mod tests {
     #[test]
     fn mpmd_model_declares_recovery_on_every_channel_and_flag() {
         let w = AutofocusWorkload::small();
-        let plain = autofocus_pipeline_model(&w, &Placement::neighbor(), (4, 4));
-        assert!(
-            plain.channels.iter().all(|c| c.recovery.is_none()),
-            "the shared pipeline model stays recovery-free (the streams net has none)"
-        );
         let m = autofocus_mpmd_model(&w, &Placement::neighbor(), (4, 4));
         assert!(m.channels.iter().all(|c| c.recovery.is_some()));
         assert!(m.flags.iter().all(|f| f.recovery.is_some()));
@@ -841,7 +795,7 @@ mod tests {
     #[test]
     fn pipeline_model_matches_the_dataflow() {
         let w = AutofocusWorkload::small();
-        let m = autofocus_pipeline_model(&w, &Placement::neighbor(), (4, 4));
+        let m = autofocus_mpmd_model(&w, &Placement::neighbor(), (4, 4));
         assert_eq!(m.cores.len(), 13);
         // 18 range->beam + 6 beam->corr channels, one flag each.
         assert_eq!(m.channels.len(), 24);
@@ -930,8 +884,8 @@ mod tests {
     #[test]
     fn pipeline_model_rebases_the_placement_onto_bigger_meshes() {
         let w = AutofocusWorkload::small();
-        let e16 = autofocus_pipeline_model(&w, &Placement::neighbor(), (4, 4));
-        let e64 = autofocus_pipeline_model(&w, &Placement::neighbor(), (8, 8));
+        let e16 = autofocus_mpmd_model(&w, &Placement::neighbor(), (4, 4));
+        let e64 = autofocus_mpmd_model(&w, &Placement::neighbor(), (8, 8));
         assert_eq!(e64.mesh, (8, 8));
         assert_eq!(e64.cores.len(), 13);
         // Same channel graph, and every channel spans the same hop

@@ -8,8 +8,9 @@
 //! of named *actors* placed on cores, connected by typed point-to-point
 //! *channels*; an actor fires when every input port holds a token,
 //! charges its compute to its core, and sends output tokens that ride
-//! the modelled mesh as posted writes. Synchronisation (the flag
-//! polling of the hand-written version) is implicit in the firing rule.
+//! the modelled mesh as flag-signalled posted writes. Synchronisation
+//! (the flag polling a hand-written MPMD program spells out per core)
+//! is implicit in the firing rule.
 //!
 //! Semantics are those of a Kahn process network restricted to
 //! one-token-per-port firings (static dataflow): deterministic by
@@ -39,7 +40,7 @@
 //! let doubler = net.add_actor("doubler", 0, Box::new(Doubler));
 //! let sink = net.add_actor("sink", 1, Box::new(Sink(Vec::new())));
 //! net.connect(doubler, sink);
-//! net.feed(doubler, 21, 8);
+//! net.feed(doubler, 21);
 //! net.run();
 //! ```
 
@@ -47,4 +48,4 @@
 
 pub mod network;
 
-pub use network::{Actor, ActorId, ChannelId, FireCtx, Network};
+pub use network::{Actor, ActorId, FireCtx, Network, Stall};

@@ -12,7 +12,7 @@ pub struct ActorId(usize);
 
 /// Index of a channel in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ChannelId(usize);
+struct ChannelId(usize);
 
 /// Behaviour of one process. `T` is the network's token type.
 pub trait Actor<T> {
@@ -48,16 +48,18 @@ impl<T> FireCtx<'_, T> {
         );
         self.emitted.push((self.outputs[port], token, bytes));
     }
+}
 
-    /// The core this actor is placed on.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
-    /// Current simulated time on this actor's core.
-    pub fn now(&self) -> Cycle {
-        self.chip.now(self.core)
-    }
+/// How long an actor idled for its inputs, and how many of them had
+/// already arrived when its core got to them, since the last
+/// [`Network::take_stall`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stall {
+    /// Cycles the core waited for the latest input of a firing, summed.
+    pub wait_cycles: u64,
+    /// Most inputs of one firing already delivered when the core
+    /// reached it (the backlog it found).
+    pub ready_peak: u64,
 }
 
 struct ActorSlot<T> {
@@ -68,23 +70,13 @@ struct ActorSlot<T> {
     outputs: Vec<ChannelId>,
     /// Synthetic channel carrying externally fed tokens (sources only).
     source: Option<ChannelId>,
-    firings: u64,
+    stall: Stall,
 }
 
 struct ChannelState<T> {
     to: ActorId,
     /// Tokens with their data-ready times at the consumer.
     queue: VecDeque<(Cycle, T)>,
-    tokens_carried: u64,
-    /// Deepest the queue has grown (high-water mark).
-    max_depth: u64,
-}
-
-impl<T> ChannelState<T> {
-    fn push(&mut self, ready: Cycle, token: T) {
-        self.queue.push_back((ready, token));
-        self.max_depth = self.max_depth.max(self.queue.len() as u64);
-    }
 }
 
 /// A placed process network over a chip model.
@@ -114,30 +106,31 @@ impl<T> Network<T> {
             inputs: Vec::new(),
             outputs: Vec::new(),
             source: None,
-            firings: 0,
+            stall: Stall::default(),
         });
         ActorId(self.actors.len() - 1)
     }
 
-    /// Connect `from` to `to` with a new channel; it becomes the next
-    /// output port of `from` and the next input port of `to`.
-    pub fn connect(&mut self, from: ActorId, to: ActorId) -> ChannelId {
-        let id = ChannelId(self.channels.len());
+    fn new_channel(&mut self, to: ActorId) -> ChannelId {
         self.channels.push(ChannelState {
             to,
             queue: VecDeque::new(),
-            tokens_carried: 0,
-            max_depth: 0,
         });
-        self.actors[from.0].outputs.push(id);
-        self.actors[to.0].inputs.push(id);
-        id
+        ChannelId(self.channels.len() - 1)
     }
 
-    /// Inject an external token directly into `actor` (which must have
-    /// no input channels — a source). `bytes` models the host-side
-    /// delivery (charged as an external read by the source when fired).
-    pub fn feed(&mut self, actor: ActorId, token: T, bytes: u64) {
+    /// Connect `from` to `to` with a new channel; it becomes the next
+    /// output port of `from` and the next input port of `to`.
+    pub fn connect(&mut self, from: ActorId, to: ActorId) {
+        let id = self.new_channel(to);
+        self.actors[from.0].outputs.push(id);
+        self.actors[to.0].inputs.push(id);
+    }
+
+    /// Inject a host-fed token directly into `actor` (which must have
+    /// no input channels — a source). The host writes commands ahead
+    /// of the core, so a source fires without a flag wait.
+    pub fn feed(&mut self, actor: ActorId, token: T) {
         let slot = &self.actors[actor.0];
         assert!(
             slot.source.is_some() || slot.inputs.is_empty(),
@@ -148,21 +141,27 @@ impl<T> Network<T> {
         let chan = if let Some(c) = slot.source {
             c
         } else {
-            let id = ChannelId(self.channels.len());
-            self.channels.push(ChannelState {
-                to: actor,
-                queue: VecDeque::new(),
-                tokens_carried: 0,
-                max_depth: 0,
-            });
+            let id = self.new_channel(actor);
             // Input-only: never an output port of the actor.
             self.actors[actor.0].inputs.push(id);
             self.actors[actor.0].source = Some(id);
             id
         };
-        let ready = self.chip.now(self.actors[actor.0].core);
-        self.channels[chan.0].push(ready, token);
-        let _ = bytes;
+        self.channels[chan.0].queue.push_back((Cycle::ZERO, token));
+    }
+
+    /// Move every actor placed on core `from` onto core `to` (remapping
+    /// around a halted core); queued tokens stay where they are.
+    pub fn remap(&mut self, from: CoreId, to: CoreId) {
+        assert!(to < self.chip.cores(), "core {to} outside the chip");
+        for a in self.actors.iter_mut().filter(|a| a.core == from) {
+            a.core = to;
+        }
+    }
+
+    /// Return `actor`'s input stall since the last call and reset it.
+    pub fn take_stall(&mut self, actor: ActorId) -> Stall {
+        std::mem::take(&mut self.actors[actor.0].stall)
     }
 
     /// Whether `actor` can fire now.
@@ -174,32 +173,37 @@ impl<T> Network<T> {
                 .all(|c| !self.channels[c.0].queue.is_empty())
     }
 
-    /// Run until no actor can fire. Returns the number of firings.
-    pub fn run(&mut self) -> u64 {
-        let mut total = 0u64;
+    /// Run until no actor can fire.
+    pub fn run(&mut self) {
         while let Some(idx) = (0..self.actors.len()).find(|&i| self.fireable(i)) {
-            total += 1;
             self.fire_one(idx);
         }
-        total
     }
 
     fn fire_one(&mut self, idx: usize) {
+        let core = self.actors[idx].core;
+        let reached = self.chip.now(core);
         // Pop one token per input port; the actor blocks until the
         // latest one has arrived (the implicit flag wait).
         let input_chans: Vec<ChannelId> = self.actors[idx].inputs.clone();
         let mut tokens = Vec::with_capacity(input_chans.len());
         let mut latest = Cycle::ZERO;
+        let mut arrived = 0u64;
         for c in &input_chans {
             let (ready, tok) = self.channels[c.0]
                 .queue
                 .pop_front()
                 .expect("fireable checked non-empty");
             latest = latest.max(ready);
+            arrived += u64::from(ready <= reached);
             tokens.push(tok);
         }
-        let core = self.actors[idx].core;
-        self.chip.wait_flag(core, latest);
+        if self.actors[idx].source.is_none() {
+            let stall = &mut self.actors[idx].stall;
+            stall.wait_cycles += latest.saturating_sub(reached).0;
+            stall.ready_peak = stall.ready_peak.max(arrived);
+            self.chip.wait_flag(core, latest);
+        }
 
         let outputs = self.actors[idx].outputs.clone();
         let mut ctx = FireCtx {
@@ -215,51 +219,14 @@ impl<T> Network<T> {
         behaviour.fire(tokens, &mut ctx);
         let emitted = ctx.emitted;
         self.actors[idx].behaviour = behaviour;
-        self.actors[idx].firings += 1;
 
+        // Every token rides a flag-signalled posted write; under fault
+        // injection a lost flag is re-sent by the producer's watchdog.
         for (chan, token, bytes) in emitted {
-            let dst_actor = self.channels[chan.0].to;
-            let dst_core = self.actors[dst_actor.0].core;
-            let ready = self.chip.write_remote(core, dst_core, bytes);
-            self.channels[chan.0].push(ready, token);
-            self.channels[chan.0].tokens_carried += 1;
+            let dst_core = self.actors[self.channels[chan.0].to.0].core;
+            let ready = self.chip.send_reliable(core, dst_core, bytes);
+            self.channels[chan.0].queue.push_back((ready, token));
         }
-    }
-
-    /// Times the network has fired `actor`.
-    pub fn firings(&self, actor: ActorId) -> u64 {
-        self.actors[actor.0].firings
-    }
-
-    /// Tokens carried by `channel` so far.
-    pub fn tokens_carried(&self, channel: ChannelId) -> u64 {
-        self.channels[channel.0].tokens_carried
-    }
-
-    /// High-water queue depth of `channel`.
-    pub fn max_queue_depth(&self, channel: ChannelId) -> u64 {
-        self.channels[channel.0].max_depth
-    }
-
-    /// Deepest any channel queue has grown since construction (or the
-    /// last [`Network::take_queue_peak`]).
-    pub fn queue_peak(&self) -> u64 {
-        self.channels.iter().map(|c| c.max_depth).max().unwrap_or(0)
-    }
-
-    /// Return [`Network::queue_peak`] and reset every channel's
-    /// high-water mark to its current depth (per-phase sampling).
-    pub fn take_queue_peak(&mut self) -> u64 {
-        let peak = self.queue_peak();
-        for c in &mut self.channels {
-            c.max_depth = c.queue.len() as u64;
-        }
-        peak
-    }
-
-    /// Actor name (diagnostics).
-    pub fn name(&self, actor: ActorId) -> &str {
-        &self.actors[actor.0].name
     }
 
     /// The underlying chip (time/energy reports).
@@ -270,15 +237,6 @@ impl<T> Network<T> {
     /// Mutable chip access (e.g. initial DMA loads before running).
     pub fn chip_mut(&mut self) -> &mut Chip {
         &mut self.chip
-    }
-
-    /// Consume the network, returning the chip and the actors'
-    /// behaviours for inspection (sinks often accumulate results).
-    pub fn into_parts(self) -> (Chip, Vec<Box<dyn Actor<T>>>) {
-        (
-            self.chip,
-            self.actors.into_iter().map(|a| a.behaviour).collect(),
-        )
     }
 }
 
@@ -294,6 +252,8 @@ impl<T> Actor<T> for InertActor {
 mod tests {
     use super::*;
     use epiphany::EpiphanyParams;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn chip() -> Chip {
         Chip::e16g3(EpiphanyParams::default())
@@ -310,38 +270,7 @@ mod tests {
         }
     }
 
-    struct Collect(Vec<u64>);
-    impl Actor<u64> for Collect {
-        fn fire(&mut self, inputs: Vec<u64>, ctx: &mut FireCtx<'_, u64>) {
-            ctx.charge(&OpCounts {
-                ialu: 1,
-                ..OpCounts::default()
-            });
-            self.0.push(inputs.into_iter().sum());
-        }
-    }
-
-    #[test]
-    fn tokens_flow_through_a_pipeline_in_order() {
-        let mut net = Network::new(chip());
-        let a = net.add_actor("inc1", 0, Box::new(AddOne));
-        let b = net.add_actor("inc2", 1, Box::new(AddOne));
-        let sink = net.add_actor("sink", 2, Box::new(Collect(Vec::new())));
-        net.connect(a, b);
-        net.connect(b, sink);
-        for v in [10u64, 20, 30] {
-            net.feed(a, v, 8);
-        }
-        let firings = net.run();
-        assert_eq!(firings, 9); // 3 tokens x 3 actors
-        assert_eq!(net.firings(sink), 3);
-        let (chip, actors) = net.into_parts();
-        assert!(chip.elapsed() > Cycle::ZERO);
-        // Downcast-free inspection: the sink is the third actor.
-        let _ = actors;
-    }
-
-    struct CollectProbe(std::rc::Rc<std::cell::RefCell<Vec<u64>>>);
+    struct CollectProbe(Rc<RefCell<Vec<u64>>>);
     impl Actor<u64> for CollectProbe {
         fn fire(&mut self, inputs: Vec<u64>, _ctx: &mut FireCtx<'_, u64>) {
             self.0.borrow_mut().push(inputs.into_iter().sum());
@@ -350,13 +279,13 @@ mod tests {
 
     #[test]
     fn results_are_correct_and_ordered() {
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(RefCell::new(Vec::new()));
         let mut net = Network::new(chip());
         let a = net.add_actor("inc", 0, Box::new(AddOne));
         let sink = net.add_actor("sink", 1, Box::new(CollectProbe(results.clone())));
         net.connect(a, sink);
         for v in [1u64, 2, 3, 4] {
-            net.feed(a, v, 8);
+            net.feed(a, v);
         }
         net.run();
         assert_eq!(*results.borrow(), vec![2, 3, 4, 5]);
@@ -366,20 +295,19 @@ mod tests {
     fn join_waits_for_both_producers() {
         // Two producers on different cores feed one consumer; the
         // consumer fires exactly min(tokens_left, tokens_right) times.
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(RefCell::new(Vec::new()));
         let mut net = Network::new(chip());
         let left = net.add_actor("left", 0, Box::new(AddOne));
         let right = net.add_actor("right", 5, Box::new(AddOne));
         let join = net.add_actor("join", 10, Box::new(CollectProbe(results.clone())));
         net.connect(left, join);
         net.connect(right, join);
-        net.feed(left, 100, 8);
-        net.feed(left, 200, 8);
-        net.feed(right, 1, 8);
+        net.feed(left, 100);
+        net.feed(left, 200);
+        net.feed(right, 1);
         net.run();
         // Only one pair available: (101) + (2).
         assert_eq!(*results.borrow(), vec![103]);
-        assert_eq!(net.firings(join), 1);
     }
 
     #[test]
@@ -394,17 +322,52 @@ mod tests {
                 ctx.send(0, inputs[0], 4096);
             }
         }
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(RefCell::new(Vec::new()));
         let mut net = Network::new(chip());
         let p = net.add_actor("heavy", 0, Box::new(Heavy));
         let s = net.add_actor("sink", 15, Box::new(CollectProbe(results.clone())));
         net.connect(p, s);
-        net.feed(p, 7, 8);
+        net.feed(p, 7);
         net.run();
         // Compute (10k FMA) + 4 KB across six hops must both show.
         let elapsed = net.chip().elapsed();
         assert!(elapsed.raw() > 10_000, "elapsed {elapsed}");
-        assert_eq!(net.tokens_carried(ChannelId(0)), 1);
+        assert_eq!(*results.borrow(), vec![7]);
+    }
+
+    #[test]
+    fn sources_fire_without_a_flag_wait_and_consumers_record_their_stall() {
+        let results = Rc::new(RefCell::new(Vec::new()));
+        let mut net = Network::new(chip());
+        let a = net.add_actor("inc", 0, Box::new(AddOne));
+        let sink = net.add_actor("sink", 15, Box::new(CollectProbe(results.clone())));
+        net.connect(a, sink);
+        net.feed(a, 1);
+        net.run();
+        // Only the sink polls a flag, and it idles for the message.
+        assert_eq!(net.chip().counters(0).get("flag_wait"), 0);
+        assert_eq!(net.chip().counters(15).get("flag_wait"), 1);
+        assert_eq!(net.take_stall(a), Stall::default());
+        let stall = net.take_stall(sink);
+        assert!(stall.wait_cycles > 0);
+        assert_eq!(
+            stall.ready_peak, 0,
+            "nothing had arrived when the sink got there"
+        );
+        assert_eq!(net.take_stall(sink), Stall::default(), "taking resets");
+    }
+
+    #[test]
+    fn remapped_actors_run_on_their_new_core() {
+        let mut net = Network::new(chip());
+        let a = net.add_actor("inc", 0, Box::new(AddOne));
+        let sink = net.add_actor("sink", 1, Box::new(CollectProbe(Rc::default())));
+        net.connect(a, sink);
+        net.remap(0, 7);
+        net.feed(a, 1);
+        net.run();
+        assert_eq!(net.chip().busy(0), Cycle::ZERO);
+        assert!(net.chip().busy(7) > Cycle::ZERO);
     }
 
     #[test]
@@ -413,11 +376,11 @@ mod tests {
             let mut net = Network::new(chip());
             let a = net.add_actor("a", 0, Box::new(AddOne));
             let b = net.add_actor("b", 3, Box::new(AddOne));
-            let s = net.add_actor("s", 12, Box::new(Collect(Vec::new())));
+            let s = net.add_actor("s", 12, Box::new(CollectProbe(Rc::default())));
             net.connect(a, b);
             net.connect(b, s);
             for v in 0..20u64 {
-                net.feed(a, v, 64);
+                net.feed(a, v);
             }
             net.run();
             net.chip().elapsed()
@@ -436,7 +399,7 @@ mod tests {
         }
         let mut net = Network::new(chip());
         let a = net.add_actor("bad", 0, Box::new(Bad));
-        net.feed(a, 1, 8);
+        net.feed(a, 1);
         net.run();
     }
 
@@ -447,34 +410,6 @@ mod tests {
         let a = net.add_actor("a", 0, Box::new(AddOne));
         let b = net.add_actor("b", 1, Box::new(AddOne));
         net.connect(a, b);
-        net.feed(b, 1, 8);
-    }
-
-    #[test]
-    fn queue_depth_high_water_is_tracked() {
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut net = Network::new(chip());
-        let a = net.add_actor("inc", 0, Box::new(AddOne));
-        let sink = net.add_actor("sink", 1, Box::new(CollectProbe(results.clone())));
-        let chan = net.connect(a, sink);
-        for v in 0..5u64 {
-            net.feed(a, v, 8);
-        }
-        // All five feeds queue on the synthetic source channel.
-        assert_eq!(net.queue_peak(), 5);
-        net.run();
-        // The greedy scheduler drains the source first, so the a->sink
-        // channel also backs up to five before the sink fires.
-        assert_eq!(net.max_queue_depth(chan), 5);
-        assert_eq!(net.take_queue_peak(), 5);
-        // After the drain every queue is empty, so the reset peak is 0.
-        assert_eq!(net.queue_peak(), 0);
-    }
-
-    #[test]
-    fn names_and_cores_are_tracked() {
-        let mut net: Network<u64> = Network::new(chip());
-        let a = net.add_actor("range0", 4, Box::new(AddOne));
-        assert_eq!(net.name(a), "range0");
+        net.feed(b, 1);
     }
 }

@@ -98,15 +98,16 @@ pub fn cell_key(
         None => format!("{mapping}|{platform}|{kernel}|{scale}|{seed}|v{RUN_RECORD_VERSION}"),
         Some(spec) => format!(
             "{mapping}|{platform}|{kernel}|{scale}|{seed}|f{:016x}|v{RUN_RECORD_VERSION}",
-            fault_digest(spec)
+            fnv1a(spec)
         ),
     }
 }
 
-/// FNV-1a 64-bit digest of the fault-spec text. Not cryptographic —
-/// it only needs to make distinct specs (and spec edits) land on
-/// distinct keys with overwhelming probability.
-fn fault_digest(text: &str) -> u64 {
+/// FNV-1a 64-bit digest of `text` (fault specs in cache keys, records
+/// in the golden digests). Not cryptographic — it only needs to make
+/// distinct texts (and edits) land on distinct digests with
+/// overwhelming probability.
+pub fn fnv1a(text: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in text.bytes() {
         hash ^= u64::from(byte);

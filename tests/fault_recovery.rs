@@ -5,6 +5,7 @@
 //! seed reproduces the record exactly.
 
 use sar_epiphany::harness_impls::FfbpSpmdMapping;
+use sar_epiphany::mapping_named;
 use sim_harness::{platform_named, run_ctx, FaultPlan, FaultState, RunContext, Workload};
 
 const SPEC: &str = r#"{
@@ -92,4 +93,24 @@ fn different_seeds_draw_different_schedules() {
     let b = faulted_run(2);
     assert_eq!(a.record.counters.get("fault_seed"), 1);
     assert_eq!(b.record.counters.get("fault_seed"), 2);
+}
+
+#[test]
+fn autofocus_net_injects_and_retries_dropped_flags() {
+    // `autofocus_net` is the pipeline's second registry name, so a
+    // fault plan must reach it exactly as it reaches `autofocus_mpmd`.
+    let plan = FaultPlan::parse(
+        r#"{"version": 1, "faults": [{"kind": "flag_drop", "at": 2000}]}"#,
+        5,
+    )
+    .unwrap();
+    let ctx = RunContext::plain().with_faults(FaultState::from_plan(&plan));
+    let platform = platform_named("epiphany").unwrap();
+    let workload = Workload::named("autofocus", true).unwrap();
+    let mapping = mapping_named("autofocus_net").unwrap();
+    let out = run_ctx(mapping.as_ref(), &workload, platform.as_ref(), &ctx).unwrap();
+    let f = &out.record.faults;
+    assert!(f.faults_injected >= 1, "the drop must fire: {f:?}");
+    assert!(f.retries >= 1, "a dropped flag is re-sent: {f:?}");
+    assert_eq!(out.record.counters.get("fault_seed"), 5);
 }
